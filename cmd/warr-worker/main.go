@@ -40,7 +40,7 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8731/api/distrib",
 		"base URL of the coordinator's distrib endpoints")
 	id := flag.String("id", "", "worker identity (default worker-<pid>-<n>)")
-	poll := flag.Duration("poll", 100*time.Millisecond, "idle lease re-poll interval")
+	poll := flag.Duration("poll", 100*time.Millisecond, "initial backoff after a failed lease poll")
 	flag.Parse()
 
 	w := distrib.NewWorker(distrib.WorkerOptions{

@@ -59,24 +59,35 @@ func runCampaign(t *testing.T, engine *jobs.Engine, spec jobs.Spec) *weberr.Repo
 // stops them at test end.
 func startWorkers(t *testing.T, coordinator string, n int) {
 	t.Helper()
+	startWorkersPolling(t, coordinator, n, 2*time.Millisecond)
+}
+
+// startWorkersPolling runs n pool workers with the given PollInterval.
+// stop cancels them and waits until every Run has returned; it also
+// runs at test end.
+func startWorkersPolling(t *testing.T, coordinator string, n int, poll time.Duration) (workers []*Worker, stop func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		w := NewWorker(WorkerOptions{
 			Coordinator:  coordinator,
 			ID:           fmt.Sprintf("test-worker-%d", i),
-			PollInterval: 2 * time.Millisecond,
+			PollInterval: poll,
 		})
+		workers = append(workers, w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			_ = w.Run(ctx)
 		}()
 	}
-	t.Cleanup(func() {
+	stop = func() {
 		cancel()
 		wg.Wait()
-	})
+	}
+	t.Cleanup(stop)
+	return workers, stop
 }
 
 // distribEngine wires a pool, its HTTP surface, and n workers into a
@@ -281,6 +292,7 @@ func TestPoolMetrics(t *testing.T) {
 		"warr_distrib_images_shipped_total",
 		"warr_distrib_stolen_tails_total",
 		"warr_distrib_campaigns_total",
+		"warr_distrib_parked_polls",
 	} {
 		if got := poolMetric(t, pool, name); got != "0" {
 			t.Errorf("idle pool: %s = %s, want 0", name, got)

@@ -218,7 +218,7 @@ func TestLateCompletionAfterReapCreditsOnce(t *testing.T) {
 	var slowLease WireLease
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		slowLease = pool.grant("slow")
+		slowLease, _ = pool.grant("slow")
 		if slowLease.Status == StatusLease {
 			break
 		}
@@ -301,7 +301,7 @@ func TestLateCompletionAfterReapCreditsOnce(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("campaign never converged")
 		}
-		l := pool.grant("keeper")
+		l, _ := pool.grant("keeper")
 		if l.Status != StatusLease {
 			time.Sleep(5 * time.Millisecond)
 			continue

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dslab-epfl/warr/internal/campaign"
@@ -23,7 +24,9 @@ import (
 type PoolOptions struct {
 	// LeaseTTL is how long a worker may go silent before its leases are
 	// forfeited and their shards re-queued (default 10s). Workers
-	// heartbeat at a fraction of this while executing.
+	// heartbeat at a fraction of this while executing, and a lease poll
+	// with no shard to grant is held open for a tenth of it (at most
+	// 1s).
 	LeaseTTL time.Duration
 	// ShardFactor is the target number of shards per connected worker
 	// (default 4): campaigns are split so every worker gets several
@@ -55,6 +58,11 @@ type Pool struct {
 	run       *poolRun
 	nextLease int
 	runSeq    int
+	// wake is closed and replaced whenever the queue gains a shard,
+	// releasing every held lease poll at once.
+	wake chan struct{}
+	// parkedPolls counts lease polls currently held open.
+	parkedPolls atomic.Int64
 
 	// imageOwner maps an image digest to the first worker that leased a
 	// shard resuming from it — the worker whose cache already holds the
@@ -81,7 +89,8 @@ type poolRun struct {
 	jobs      []campaign.Job
 	plan      *campaign.ShardPlan
 	spec      jobs.DistSpec
-	token     string // completion-token prefix, unique per run
+	token     string   // completion-token prefix, unique per run
+	images    []string // store digests captured for this run
 	queue     []int
 	leases    map[string]*lease
 	completed []bool
@@ -116,6 +125,7 @@ func NewPool(opts PoolOptions) *Pool {
 		store:      image.NewStore(),
 		workers:    make(map[string]time.Time),
 		imageOwner: make(map[string]string),
+		wake:       make(chan struct{}),
 	}
 	p.mux = http.NewServeMux()
 	p.mux.HandleFunc("POST /lease", p.handleLease)
@@ -129,8 +139,8 @@ func NewPool(opts PoolOptions) *Pool {
 // /image/{digest}, POST /complete, POST /heartbeat.
 func (p *Pool) Handler() http.Handler { return p.mux }
 
-// Store exposes the pool's content-addressed image store (the corpus
-// tool pins golden images through it).
+// Store exposes the pool's content-addressed image store. A run's
+// branch-point images live there only until the run ends.
 func (p *Pool) Store() *image.Store { return p.store }
 
 func (p *Pool) logf(format string, args ...any) {
@@ -178,15 +188,27 @@ func (p *Pool) WaitForWorkers(ctx context.Context, n int) error {
 }
 
 // imager captures branch-point worlds into the pool's store, keyed by
-// content digest.
-func (p *Pool) imager() campaign.Imager {
+// content digest, and records each digest in *images so the run can
+// drop them when it ends.
+func (p *Pool) imager(images *[]string) campaign.Imager {
 	return func(sess *replayer.Session) (string, error) {
 		img, err := image.CaptureSession(sess, image.Header{})
 		if err != nil {
 			return "", err
 		}
-		return p.store.Add(img)
+		digest, err := p.store.Add(img)
+		if err == nil {
+			*images = append(*images, digest)
+		}
+		return digest, err
 	}
+}
+
+// wakeLocked releases every held lease poll: the queue just gained a
+// shard.
+func (p *Pool) wakeLocked() {
+	close(p.wake)
+	p.wake = make(chan struct{})
 }
 
 // DistributeCampaign implements jobs.Distributor: plan the trie into
@@ -214,7 +236,7 @@ func (p *Pool) DistributeCampaign(ctx context.Context, exec *campaign.Executor, 
 	p.mu.Unlock()
 
 	maxJobs := (len(plan) + p.opts.ShardFactor*workers - 1) / (p.opts.ShardFactor * workers)
-	sp, ok := exec.PlanShards(ctx, plan, maxJobs, p.imager())
+	sp, ok := exec.PlanShards(ctx, plan, maxJobs, p.imager(&placeholder.images))
 	if !ok {
 		p.clearRun(placeholder)
 		return nil, false
@@ -227,6 +249,7 @@ func (p *Pool) DistributeCampaign(ctx context.Context, exec *campaign.Executor, 
 	}
 	run := &poolRun{
 		jobs: plan, plan: sp, spec: spec,
+		images:    placeholder.images,
 		leases:    make(map[string]*lease),
 		completed: make([]bool, len(sp.Shards)),
 		remaining: len(sp.Shards),
@@ -240,6 +263,7 @@ func (p *Pool) DistributeCampaign(ctx context.Context, exec *campaign.Executor, 
 	run.token = fmt.Sprintf("run-%d", p.runSeq)
 	p.run = run
 	p.campaigns++
+	p.wakeLocked()
 	p.mu.Unlock()
 
 	ok = p.await(ctx, run)
@@ -286,6 +310,7 @@ func (p *Pool) DistributeLoad(ctx context.Context, sjobs []multiuser.ScheduleJob
 	run.token = fmt.Sprintf("run-%d", p.runSeq)
 	p.run = run
 	p.loadCampaigns++
+	p.wakeLocked()
 	p.mu.Unlock()
 
 	ok := p.await(ctx, run)
@@ -318,12 +343,19 @@ func shardSchedules(sjobs []multiuser.ScheduleJob) [][]multiuser.ScheduleJob {
 	return shards
 }
 
+// clearRun frees the run's slot and drops its branch-point images: a
+// worker still holding one of its leases gets 404 for the image and
+// falls back to flat replay, and its completion is deduplicated.
 func (p *Pool) clearRun(run *poolRun) {
 	p.mu.Lock()
 	if p.run == run {
 		p.run = nil
 	}
+	for _, d := range run.images {
+		delete(p.imageOwner, d)
+	}
 	p.mu.Unlock()
+	p.store.Remove(run.images...)
 }
 
 // await blocks until the run completes, reaping dead workers as it
@@ -368,6 +400,7 @@ func (p *Pool) reap(run *poolRun) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := time.Now()
+	requeued := false
 	for w, last := range p.workers {
 		if now.Sub(last) <= p.opts.LeaseTTL {
 			continue
@@ -388,9 +421,13 @@ func (p *Pool) reap(run *poolRun) bool {
 			delete(run.leases, id)
 			if !run.completed[l.shard] {
 				run.queue = append(run.queue, l.shard)
+				requeued = true
 				p.logf("distrib: worker %s silent past %v; re-queued shard %d", w, p.opts.LeaseTTL, l.shard)
 			}
 		}
+	}
+	if requeued {
+		p.wakeLocked()
 	}
 	return run.remaining == 0 || len(p.workers) > 0
 }
@@ -415,10 +452,16 @@ func (p *Pool) skipUnfinishedLocked(run *poolRun) {
 	}
 }
 
-// grant hands the next queued shard to a polling worker.
-func (p *Pool) grant(worker string) WireLease {
+// grant hands the next queued shard to a polling worker. It also
+// returns the current wake channel: if nothing was granted, it closes
+// once the queue gains a shard.
+func (p *Pool) grant(worker string) (WireLease, <-chan struct{}) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.grantLocked(worker), p.wake
+}
+
+func (p *Pool) grantLocked(worker string) WireLease {
 	run := p.run
 	if run == nil {
 		return WireLease{Status: StatusIdle}
@@ -573,6 +616,30 @@ func (p *Pool) finishShardLocked(run *poolRun, si int) {
 	}
 }
 
+// forfeit re-queues the shards a polling worker still holds. A worker
+// runs one shard at a time and polls only between shards, so a lease
+// it holds when it polls was lost on the way: a grant reply dropped or
+// corrupted in flight, or a completion that ran out of retries. The
+// worker keeps polling, so the TTL reap would never free it.
+func (p *Pool) forfeit(worker string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	run := p.run
+	if run == nil {
+		return
+	}
+	for id, l := range run.leases {
+		if l.worker != worker {
+			continue
+		}
+		delete(run.leases, id)
+		if !run.completed[l.shard] {
+			p.logf("distrib: worker %s polled while holding %s; re-queued shard %d", worker, id, l.shard)
+			p.requeueLocked(run, l.shard)
+		}
+	}
+}
+
 // requeueLocked puts a shard back on the queue unless it is already
 // waiting there (a reaped shard whose late report was then rejected
 // must not be granted twice).
@@ -583,6 +650,7 @@ func (p *Pool) requeueLocked(run *poolRun, si int) {
 		}
 	}
 	run.queue = append(run.queue, si)
+	p.wakeLocked()
 }
 
 // inject applies the armed fault schedule to one inbound request:
@@ -616,8 +684,56 @@ func (p *Pool) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.touch(worker)
+	l, ok := p.holdForGrant(r.Context(), worker)
+	if !ok {
+		return
+	}
+	p.touch(worker)
+	if err := l.Seal(); err != nil {
+		http.Error(w, fmt.Sprintf("distrib: sealing lease: %v", err), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(p.grant(worker))
+	_ = json.NewEncoder(w).Encode(l)
+}
+
+// maxHold caps the lease-poll hold window: it must stay under the
+// worker's default 5s request timeout and warr-serve's 5s shutdown
+// budget whatever the lease TTL.
+const maxHold = time.Second
+
+// holdWindow is how long a lease poll with nothing to grant is held: a
+// tenth of the lease TTL, so a parked worker stays well inside its
+// liveness window, and at most maxHold.
+func (p *Pool) holdWindow() time.Duration {
+	return min(p.opts.LeaseTTL/10, maxHold)
+}
+
+// holdForGrant is the long poll behind POST /lease: it grants a shard
+// the moment one is queued, or answers wait/idle when the hold window
+// passes with nothing to grant. ok is false when the client went away
+// first.
+func (p *Pool) holdForGrant(ctx context.Context, worker string) (l WireLease, ok bool) {
+	p.forfeit(worker)
+	l, wake := p.grant(worker)
+	if l.Status == StatusLease {
+		return l, true
+	}
+	p.parkedPolls.Add(1)
+	defer p.parkedPolls.Add(-1)
+	hold := time.NewTimer(p.holdWindow())
+	defer hold.Stop()
+	for l.Status != StatusLease {
+		select {
+		case <-wake:
+		case <-hold.C:
+			return l, true
+		case <-ctx.Done():
+			return l, false
+		}
+		l, wake = p.grant(worker)
+	}
+	return l, true
 }
 
 func (p *Pool) handleImage(w http.ResponseWriter, r *http.Request) {
@@ -704,6 +820,9 @@ func (p *Pool) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP warr_distrib_leased_shards Shards currently leased to workers.\n")
 	fmt.Fprintf(w, "# TYPE warr_distrib_leased_shards gauge\n")
 	fmt.Fprintf(w, "warr_distrib_leased_shards %d\n", leased)
+	fmt.Fprintf(w, "# HELP warr_distrib_parked_polls Lease polls currently held open waiting for a shard.\n")
+	fmt.Fprintf(w, "# TYPE warr_distrib_parked_polls gauge\n")
+	fmt.Fprintf(w, "warr_distrib_parked_polls %d\n", p.parkedPolls.Load())
 	fmt.Fprintf(w, "# HELP warr_distrib_images_shipped_total Branch-point image downloads served to workers.\n")
 	fmt.Fprintf(w, "# TYPE warr_distrib_images_shipped_total counter\n")
 	fmt.Fprintf(w, "warr_distrib_images_shipped_total %d\n", p.imagesShipped)

@@ -28,11 +28,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"hash/fnv"
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/command"
+	"github.com/dslab-epfl/warr/internal/fnv1a"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/replayer"
@@ -97,6 +97,27 @@ type WireLease struct {
 	// instead of Image/Jobs): self-describing multi-user schedule jobs
 	// the worker executes in fresh shared worlds of its own.
 	LoadJobs []multiuser.ScheduleJob `json:"loadJobs,omitempty"`
+	// Sum is the reply's integrity checksum, as CompleteMsg.Sum: a
+	// grant whose trace was garbled in flight must not execute. The
+	// worker treats a reply failing Verify as a failed poll, and its
+	// next poll forfeits the grant it never received. 0 means unsealed.
+	Sum uint64 `json:"sum,omitempty"`
+}
+
+// Seal stamps the reply's integrity checksum; call it last.
+func (l *WireLease) Seal() error {
+	l.Sum = 0
+	sum, err := checksum(l)
+	l.Sum = sum
+	return err
+}
+
+// Verify checks the integrity checksum of a received reply. Unsealed
+// replies (Sum 0) pass.
+func (l WireLease) Verify() bool {
+	sum := l.Sum
+	l.Sum = 0
+	return verifySum(l, sum)
 }
 
 // CompleteMsg reports a finished shard: one OutcomeEvent per shard job,
@@ -128,31 +149,37 @@ type CompleteMsg struct {
 // every other field is final.
 func (m *CompleteMsg) Seal() error {
 	m.Sum = 0
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	m.Sum = h.Sum64()
-	return nil
+	sum, err := checksum(m)
+	m.Sum = sum
+	return err
 }
 
 // Verify checks the integrity checksum of a received message. Unsealed
 // messages (Sum 0) pass.
 func (m CompleteMsg) Verify() bool {
 	sum := m.Sum
+	m.Sum = 0
+	return verifySum(m, sum)
+}
+
+// checksum is the FNV-1a sum of v's JSON encoding; the caller zeroes
+// v's Sum field first.
+func checksum(v any) (uint64, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return 0, err
+	}
+	return fnv1a.Bytes(b), nil
+}
+
+// verifySum reports whether v, its Sum field zeroed, checksums to sum;
+// sum 0 (unsealed) always passes.
+func verifySum(v any, sum uint64) bool {
 	if sum == 0 {
 		return true
 	}
-	m.Sum = 0
-	b, err := json.Marshal(m)
-	if err != nil {
-		return false
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64() == sum
+	got, err := checksum(v)
+	return err == nil && got == sum
 }
 
 // wireReplayer extracts the serializable subset of replayer options

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -20,6 +19,7 @@ import (
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/errmodel"
+	"github.com/dslab-epfl/warr/internal/fnv1a"
 	"github.com/dslab-epfl/warr/internal/image"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/multiuser"
@@ -50,8 +50,11 @@ type WorkerOptions struct {
 	// timeout — a worker must never hang forever on a stuck coordinator
 	// socket.
 	Client *http.Client
-	// PollInterval is the idle re-poll delay (default 50ms). Failing
-	// polls back off exponentially from this up to RetryCap.
+	// PollInterval is the initial backoff after a failed lease poll
+	// (default 50ms); failing polls back off exponentially from it up
+	// to RetryCap. An idle or wait reply is re-polled at once: the
+	// coordinator holds each poll open until a shard is queued or its
+	// hold window ends.
 	PollInterval time.Duration
 	// RequestTimeout bounds each control request — lease polls,
 	// heartbeats, completions (default 5s). Image downloads get four
@@ -78,9 +81,17 @@ type WorkerOptions struct {
 // vocabulary. Image bytes are cached by content digest, so the many
 // shards forked from one branch point download their world once.
 type Worker struct {
-	opts  WorkerOptions
-	base  string
-	cache map[string]*image.Image
+	opts WorkerOptions
+	base string
+	// cache holds the decoded images of the current run: cacheRun, the
+	// run prefix of the latest lease token. prevCache holds what the
+	// previous run cached and this one has not reused yet; back-to-back
+	// runs of one campaign capture byte-identical images, so a hit there
+	// moves to cache instead of being fetched again. A new run drops the
+	// leftovers, and an idle reply (no run in flight) drops both.
+	cache     map[string]*image.Image
+	prevCache map[string]*image.Image
+	cacheRun  string
 
 	// retries tallies request retries since the last completion report;
 	// each report carries the tally to the coordinator's
@@ -121,13 +132,11 @@ func NewWorker(opts WorkerOptions) *Worker {
 			return registry.BrowserFactory(mode)
 		}
 	}
-	h := fnv.New64a()
-	h.Write([]byte(opts.ID))
 	return &Worker{
 		opts:  opts,
 		base:  strings.TrimSuffix(opts.Coordinator, "/"),
 		cache: make(map[string]*image.Image),
-		rng:   rand.New(rand.NewSource(int64(h.Sum64()))),
+		rng:   rand.New(rand.NewSource(int64(fnv1a.String(opts.ID)))),
 	}
 }
 
@@ -150,20 +159,15 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		l, err := w.lease(ctx)
-		if err != nil || l.Status != StatusLease {
-			delay := w.opts.PollInterval
-			if err != nil {
-				// A failing poll backs off exponentially (with jitter, up
-				// to RetryCap) so a fleet does not hammer a struggling
-				// coordinator; an idle poll keeps the configured cadence.
-				w.logf("distrib: %s: lease poll: %v", w.opts.ID, err)
-				w.retries.Add(1)
-				delay = pollDelay + w.jitter(pollDelay)
-				if pollDelay *= 2; pollDelay > w.opts.RetryCap {
-					pollDelay = w.opts.RetryCap
-				}
-			} else {
-				pollDelay = w.opts.PollInterval
+		if err != nil {
+			// A failing poll backs off exponentially (with jitter, up to
+			// RetryCap) so a fleet does not hammer a struggling
+			// coordinator.
+			w.logf("distrib: %s: lease poll: %v", w.opts.ID, err)
+			w.retries.Add(1)
+			delay := pollDelay + w.jitter(pollDelay)
+			if pollDelay *= 2; pollDelay > w.opts.RetryCap {
+				pollDelay = w.opts.RetryCap
 			}
 			select {
 			case <-ctx.Done():
@@ -173,6 +177,15 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		pollDelay = w.opts.PollInterval
+		if l.Status != StatusLease {
+			// The coordinator already held this poll for its hold
+			// window; ask again at once. Idle means no run is in
+			// flight, so no cached image will be leased again soon.
+			if l.Status == StatusIdle {
+				w.forgetImages()
+			}
+			continue
+		}
 		if l.Crash {
 			w.logf("distrib: %s: crash directive on lease %s; dying", w.opts.ID, l.ID)
 			return ErrCrashed
@@ -204,9 +217,13 @@ func (w *Worker) jitter(d time.Duration) time.Duration {
 	return time.Duration(w.rng.Int63n(int64(d)/2 + 1))
 }
 
+// errImageGone is a 404 from GET /image/: the coordinator dropped the
+// image with its run, so no retry can bring it back.
+var errImageGone = errors.New("distrib: image no longer held by the coordinator")
+
 // retry runs fn under capped jittered exponential backoff. Every extra
 // attempt counts into the worker's retry tally, which rides the next
-// completion report into warr_retries_total.
+// completion report into warr_retries_total. errImageGone is final.
 func (w *Worker) retry(ctx context.Context, what string, fn func() error) error {
 	var err error
 	backoff := w.opts.RetryBase
@@ -223,8 +240,8 @@ func (w *Worker) retry(ctx context.Context, what string, fn func() error) error 
 			case <-time.After(d):
 			}
 		}
-		if err = fn(); err == nil {
-			return nil
+		if err = fn(); err == nil || errors.Is(err, errImageGone) {
+			return err
 		}
 		if ctx.Err() != nil {
 			return err
@@ -255,6 +272,9 @@ func (w *Worker) lease(ctx context.Context) (*WireLease, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
 		return nil, err
 	}
+	if !l.Verify() {
+		return nil, errors.New("distrib: lease reply failed checksum verification")
+	}
 	return &l, nil
 }
 
@@ -263,6 +283,7 @@ func (w *Worker) lease(ctx context.Context) (*WireLease, error) {
 // local environments when the image cannot be fetched or restored. A
 // heartbeat loop keeps the lease alive for the duration.
 func (w *Worker) execute(ctx context.Context, l *WireLease) []jobs.OutcomeEvent {
+	w.startRun(l.Token)
 	hctx, stop := context.WithCancel(ctx)
 	defer stop()
 	go w.heartbeat(hctx, l)
@@ -385,12 +406,33 @@ func (w *Worker) heartbeat(ctx context.Context, l *WireLease) {
 	}
 }
 
+// startRun rotates the image cache when a lease token names a new run.
+func (w *Worker) startRun(token string) {
+	run, _, ok := parseToken(token)
+	if !ok || run == w.cacheRun {
+		return
+	}
+	w.prevCache, w.cache = w.cache, make(map[string]*image.Image)
+	w.cacheRun = run
+}
+
+// forgetImages empties the image cache: no run is in flight.
+func (w *Worker) forgetImages() {
+	clear(w.cache)
+	w.prevCache = nil
+}
+
 // fetchImage downloads and validates a branch-point image, caching the
 // decoded form by digest. The whole fetch retries under backoff, and
 // the retry covers digest mismatches too: a transfer corrupted on the
 // wire fails content addressing and the next attempt pulls clean bytes.
 func (w *Worker) fetchImage(ctx context.Context, digest string) (*image.Image, error) {
 	if img, ok := w.cache[digest]; ok {
+		return img, nil
+	}
+	if img, ok := w.prevCache[digest]; ok {
+		delete(w.prevCache, digest)
+		w.cache[digest] = img
 		return img, nil
 	}
 	var img *image.Image
@@ -407,6 +449,9 @@ func (w *Worker) fetchImage(ctx context.Context, digest string) (*image.Image, e
 			return err
 		}
 		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			return errImageGone
+		}
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("distrib: fetching image %s: %s", digest, resp.Status)
 		}

@@ -1,6 +1,7 @@
 // Package fnv1a holds the FNV-1a hashing primitives shared by the
 // repository's incremental digests and bounded caches (campaign prefix
-// digests, the script parse cache, the browser page-template cache).
+// digests, the script parse cache, the browser page-template cache,
+// distrib's completion checksums and worker jitter seeds).
 // One copy of the constants and byte loop keeps the call sites in sync.
 package fnv1a
 
@@ -39,4 +40,15 @@ func AddUint64(h uint64, v uint64) uint64 {
 // String hashes s from the offset basis.
 func String(s string) uint64 {
 	return AddString(Offset, s)
+}
+
+// Bytes hashes b from the offset basis; it equals hash/fnv's New64a
+// over the same bytes.
+func Bytes(b []byte) uint64 {
+	h := Offset
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= Prime
+	}
+	return h
 }

@@ -52,6 +52,16 @@ func (s *Store) put(digest string, data []byte) {
 	s.mu.Unlock()
 }
 
+// Remove drops the images stored under the given digests; unknown
+// digests are ignored.
+func (s *Store) Remove(digests ...string) {
+	s.mu.Lock()
+	for _, d := range digests {
+		delete(s.data, d)
+	}
+	s.mu.Unlock()
+}
+
 // Bytes returns the serialized image stored under digest.
 func (s *Store) Bytes(digest string) ([]byte, bool) {
 	s.mu.Lock()
