@@ -44,7 +44,7 @@ func main() {
 	pr := flag.String("pr", "", "snapshot of this change's benchmark run")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional ns/op regression before failing")
 	allocTolerance := flag.Float64("alloc-tolerance", 0.20,
-		"allowed fractional allocs/op regression before failing, for gated benchmarks whose baseline reports it")
+		"allowed fractional allocs/op and B/op regression before failing, for gated benchmarks whose baseline reports them")
 	gate := flag.String("gate", "", "comma-separated benchmark name patterns to enforce (path.Match globs)")
 	flag.Parse()
 
@@ -157,7 +157,9 @@ func readSnapshot(p string) (*Snapshot, error) {
 // while quietly re-introducing allocation churn on a hot path, and the
 // allocation count is the far less noisy signal on shared CI runners.
 // Baselines without allocs/op gate on ns/op only, so adoption rides
-// the normal baseline-refresh flow.
+// the normal baseline-refresh flow. B/op is gated the same way, with
+// the same tolerance: a regression back to a few huge allocations per
+// op (a fresh ~1 MB compressor per image, say) barely moves allocs/op.
 func compare(base, pr *Snapshot, tolerance, allocTolerance float64, gates []string) (report, regressions []string, err error) {
 	gated := func(name string) bool {
 		for _, g := range gates {
@@ -216,17 +218,21 @@ func compare(base, pr *Snapshot, tolerance, allocTolerance float64, gates []stri
 					fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f ns/op (%+.1f%%, tolerance %.0f%%)",
 						name, prNs, baseNs, 100*(ratio-1), 100*tolerance))
 			}
-			if baseAllocs, ok := base.Benchmarks[name]["allocs/op"]; ok && baseAllocs > 0 {
-				prAllocs, ok := prM["allocs/op"]
+			for _, unit := range []string{"allocs/op", "B/op"} {
+				baseV, ok := base.Benchmarks[name][unit]
+				if !ok || baseV <= 0 {
+					continue
+				}
+				prV, ok := prM[unit]
 				if !ok {
 					// Fail closed, as for a missing ns/op: a gated
 					// allocation guard that cannot be compared is lost.
 					regressions = append(regressions,
-						fmt.Sprintf("%s: baseline reports allocs/op but this run does not (run with -benchmem or b.ReportAllocs)", name))
-				} else if aratio := prAllocs / baseAllocs; aratio > 1+allocTolerance {
+						fmt.Sprintf("%s: baseline reports %s but this run does not (run with -benchmem or b.ReportAllocs)", name, unit))
+				} else if aratio := prV / baseV; aratio > 1+allocTolerance {
 					regressions = append(regressions,
-						fmt.Sprintf("%s: %.0f allocs/op vs baseline %.0f allocs/op (%+.1f%%, tolerance %.0f%%)",
-							name, prAllocs, baseAllocs, 100*(aratio-1), 100*allocTolerance))
+						fmt.Sprintf("%s: %.0f %s vs baseline %.0f %s (%+.1f%%, tolerance %.0f%%)",
+							name, prV, unit, baseV, unit, 100*(aratio-1), 100*allocTolerance))
 				}
 			}
 		}

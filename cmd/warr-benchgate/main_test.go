@@ -170,3 +170,40 @@ func TestCompareGatesAllocs(t *testing.T) {
 		t.Fatalf("tight alloc tolerance not enforced: %v", regs)
 	}
 }
+
+func TestCompareGatesBytes(t *testing.T) {
+	gates := []string{"BenchmarkCampaignDistributed"}
+	base := snapWith("BenchmarkCampaignDistributed", Metrics{"ns/op": 25000000, "allocs/op": 28000, "B/op": 4000000})
+
+	// Within tolerance on every axis: pass.
+	ok := snapWith("BenchmarkCampaignDistributed", Metrics{"ns/op": 25000000, "allocs/op": 28500, "B/op": 4700000})
+	if _, regs, err := compare(base, ok, 0.20, 0.20, gates); err != nil || len(regs) != 0 {
+		t.Fatalf("within tolerance: regs=%v err=%v", regs, err)
+	}
+
+	// Flat wall clock and allocation count, but bytes tripled — a few
+	// huge allocations per op are back: fail on B/op alone.
+	bloat := snapWith("BenchmarkCampaignDistributed", Metrics{"ns/op": 25000000, "allocs/op": 28600, "B/op": 12300000})
+	_, regs, _ := compare(base, bloat, 0.20, 0.20, gates)
+	if len(regs) != 1 || !strings.Contains(regs[0], "B/op") {
+		t.Fatalf("bytes regression not caught: %v", regs)
+	}
+
+	// Baseline guards B/op but this run didn't report it: fail closed.
+	silent := snapWith("BenchmarkCampaignDistributed", Metrics{"ns/op": 25000000, "allocs/op": 28000})
+	_, regs, _ = compare(base, silent, 0.20, 0.20, gates)
+	if len(regs) != 1 || !strings.Contains(regs[0], "B/op") {
+		t.Fatalf("missing B/op not caught: %v", regs)
+	}
+
+	// A baseline without B/op does not gate on it.
+	noBytes := snapWith("BenchmarkCampaignDistributed", Metrics{"ns/op": 25000000, "allocs/op": 28000})
+	if _, regs, err := compare(noBytes, bloat, 0.20, 0.20, gates); err != nil || len(regs) != 0 {
+		t.Fatalf("baseline without B/op: regs=%v err=%v", regs, err)
+	}
+
+	// B/op shares the allocation tolerance.
+	if _, regs, _ := compare(base, ok, 0.20, 0.10, gates); len(regs) != 1 {
+		t.Fatalf("tight alloc tolerance not applied to B/op: %v", regs)
+	}
+}

@@ -13,11 +13,15 @@ import (
 // bytes (the determinism image digests rely on). GMail's process-global
 // id counter is deliberately absent, for the same reason Snapshot
 // shares it: real GMail's minted ids never repeat across any two page
-// loads, in any process.
+// loads, in any process. The multi-user fields (Sites notes, the Docs
+// tally, Yahoo's last-arrival slot) are omitempty, so single-user
+// worlds, which never touch them, keep the bytes and digests that
+// committed images (testdata/corpus/edit-site.image) pin.
 
 type sitesImage struct {
 	Pages    map[string]string     `json:"pages"`
 	Saves    int                   `json:"saves"`
+	Notes    []string              `json:"notes,omitempty"`
 	Sessions *webapp.SessionsImage `json:"sessions"`
 }
 
@@ -29,8 +33,9 @@ func (s *Sites) MarshalImage() ([]byte, error) {
 		pages[k] = v
 	}
 	saves := s.saves
+	notes := append([]string(nil), s.notes...)
 	s.mu.Unlock()
-	return json.Marshal(sitesImage{Pages: pages, Saves: saves, Sessions: s.srv.ExportSessions()})
+	return json.Marshal(sitesImage{Pages: pages, Saves: saves, Notes: notes, Sessions: s.srv.ExportSessions()})
 }
 
 // UnmarshalImage implements registry.ImageMarshaler.
@@ -45,6 +50,7 @@ func (s *Sites) UnmarshalImage(data []byte) error {
 		s.pages = map[string]string{}
 	}
 	s.saves = img.Saves
+	s.notes = img.Notes
 	s.mu.Unlock()
 	if img.Sessions != nil {
 		s.srv.ImportSessions(img.Sessions)
@@ -82,6 +88,7 @@ func (g *GMail) UnmarshalImage(data []byte) error {
 
 type docsImage struct {
 	Cells    map[string]string     `json:"cells"`
+	Tally    int                   `json:"tally,omitempty"`
 	Sessions *webapp.SessionsImage `json:"sessions"`
 }
 
@@ -92,8 +99,9 @@ func (d *Docs) MarshalImage() ([]byte, error) {
 	for k, v := range d.cells {
 		cells[k] = v
 	}
+	tally := d.tally
 	d.mu.Unlock()
-	return json.Marshal(docsImage{Cells: cells, Sessions: d.srv.ExportSessions()})
+	return json.Marshal(docsImage{Cells: cells, Tally: tally, Sessions: d.srv.ExportSessions()})
 }
 
 // UnmarshalImage implements registry.ImageMarshaler.
@@ -107,6 +115,7 @@ func (d *Docs) UnmarshalImage(data []byte) error {
 	if d.cells == nil {
 		d.cells = map[string]string{}
 	}
+	d.tally = img.Tally
 	d.mu.Unlock()
 	if img.Sessions != nil {
 		d.srv.ImportSessions(img.Sessions)
@@ -116,15 +125,16 @@ func (d *Docs) UnmarshalImage(data []byte) error {
 
 type yahooImage struct {
 	Logins   int                   `json:"logins"`
+	LastName string                `json:"lastName,omitempty"`
 	Sessions *webapp.SessionsImage `json:"sessions"`
 }
 
 // MarshalImage implements registry.ImageMarshaler.
 func (y *Yahoo) MarshalImage() ([]byte, error) {
 	y.mu.Lock()
-	logins := y.logins
+	logins, lastName := y.logins, y.lastName
 	y.mu.Unlock()
-	return json.Marshal(yahooImage{Logins: logins, Sessions: y.srv.ExportSessions()})
+	return json.Marshal(yahooImage{Logins: logins, LastName: lastName, Sessions: y.srv.ExportSessions()})
 }
 
 // UnmarshalImage implements registry.ImageMarshaler.
@@ -135,6 +145,7 @@ func (y *Yahoo) UnmarshalImage(data []byte) error {
 	}
 	y.mu.Lock()
 	y.logins = img.Logins
+	y.lastName = img.LastName
 	y.mu.Unlock()
 	if img.Sessions != nil {
 		y.srv.ImportSessions(img.Sessions)

@@ -42,6 +42,7 @@ package image
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"crypto/sha256"
@@ -49,14 +50,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
-	"hash/fnv"
 	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/dslab-epfl/warr/internal/browser"
+	"github.com/dslab-epfl/warr/internal/fnv1a"
 	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
 )
@@ -225,10 +227,19 @@ func LoadSession(img *Image, ctx context.Context, hooks []replayer.Hooks, opts .
 // ---- writing ----
 
 func fnv1aHex(data []byte) string {
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", fnv1a.Bytes(data))
 }
+
+// gzip state is pooled across images: a fresh DefaultCompression
+// writer allocates ~1 MB of compressor tables, hundreds of times the
+// ~2 KB body it then compresses. A Reset writer emits exactly the bytes
+// a fresh one would, so pooling changes no image. Writers go back onto
+// io.Discard so the pool never pins a caller's writer; a reader whose
+// Reset failed is dropped rather than pooled.
+var (
+	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
 
 type section struct {
 	name    string
@@ -356,7 +367,12 @@ func Write(w io.Writer, img *Image) (digest string, err error) {
 		return "", fmt.Errorf("image: writing header: %w", err)
 	}
 
-	gz := gzip.NewWriter(w)
+	gz := gzipWriters.Get().(*gzip.Writer)
+	gz.Reset(w)
+	defer func() {
+		gz.Reset(io.Discard)
+		gzipWriters.Put(gz)
+	}()
 	bw := bufio.NewWriter(gz)
 	write := func(s string) error {
 		_, err := bw.WriteString(s)
@@ -391,12 +407,12 @@ func Write(w io.Writer, img *Image) (digest string, err error) {
 // Encode serializes the image to bytes and returns them with the
 // content digest.
 func Encode(img *Image) (data []byte, digest string, err error) {
-	var b strings.Builder
+	var b bytes.Buffer
 	digest, err = Write(&b, img)
 	if err != nil {
 		return nil, "", err
 	}
-	return []byte(b.String()), digest, nil
+	return b.Bytes(), digest, nil
 }
 
 // WriteFile serializes the image to path and returns its content
@@ -471,10 +487,11 @@ func Read(r io.Reader) (*Image, string, error) {
 		}
 	}
 
-	gz, err := gzip.NewReader(br.r)
-	if err != nil {
+	gz := gzipReaders.Get().(*gzip.Reader)
+	if err := gz.Reset(br.r); err != nil {
 		return nil, "", fmt.Errorf("image: opening body: %w", err)
 	}
+	defer gzipReaders.Put(gz)
 	body := bufio.NewReader(gz)
 	first, err := bodyLine(body)
 	if err != nil {
@@ -530,8 +547,8 @@ func Read(r io.Reader) (*Image, string, error) {
 		if _, dup := byName[name]; dup {
 			return nil, "", fmt.Errorf("image: duplicate section %q", name)
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(body, payload); err != nil {
+		payload, err := readPayload(body, size)
+		if err != nil {
 			return nil, "", fmt.Errorf("image: section %q truncated: %w", name, err)
 		}
 		if nl, err := body.ReadByte(); err != nil || nl != '\n' {
@@ -583,7 +600,7 @@ func assemble(h Header, byName map[string][]byte) (*Image, error) {
 
 // Decode parses a whole image from bytes.
 func Decode(data []byte) (*Image, string, error) {
-	return Read(strings.NewReader(string(data)))
+	return Read(bytes.NewReader(data))
 }
 
 // ReadFile reads the image at path.
@@ -633,6 +650,26 @@ func (b byteLineReader) line() (string, error) {
 			return "", err
 		}
 	}
+}
+
+// directReadLen is the largest declared section size allocated up
+// front. Larger sections grow with the bytes actually present, so a
+// forged section header of a few bytes cannot force a maxSectionLen
+// allocation.
+const directReadLen = 1 << 20
+
+// readPayload reads exactly size bytes of section payload.
+func readPayload(body io.Reader, size int) ([]byte, error) {
+	if size <= directReadLen {
+		payload := make([]byte, size)
+		_, err := io.ReadFull(body, payload)
+		return payload, err
+	}
+	payload, err := io.ReadAll(io.LimitReader(body, int64(size)))
+	if err == nil && len(payload) < size {
+		err = io.ErrUnexpectedEOF
+	}
+	return payload, err
 }
 
 func bodyLine(br *bufio.Reader) (string, error) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -324,6 +325,25 @@ func TestImageBodyValidation(t *testing.T) {
 	}
 }
 
+// TestImageForgedSectionSizeIsNotAllocated pins that a section header
+// is not trusted for its size: a body of a few bytes declaring a
+// near-maxSectionLen section is rejected as truncated without
+// allocating what it declares.
+func TestImageForgedSectionSizeIsNotAllocated(t *testing.T) {
+	const declared = maxSectionLen - 1
+	data := forgeImage(t, fmt.Sprintf("# warr-image v1\n-- section env bytes=%d fnv1a=0\n{}\n", declared))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("forged section size: err = %v, want a truncation error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > declared/16 {
+		t.Errorf("decoding a forged %d-byte section allocated %d bytes", declared, got)
+	}
+}
+
 func TestImageFutureVersionRefused(t *testing.T) {
 	data := []byte("WARR-IMAGE v2\n\nanything")
 	_, _, err := Decode(data)
@@ -464,5 +484,179 @@ func TestImageStore(t *testing.T) {
 	corrupt[len(corrupt)/2] ^= 0xff
 	if _, err := st.AddBytes(corrupt); err == nil {
 		t.Error("corrupt image accepted into the store")
+	}
+}
+
+// scenarioImage images the named scenario's world halfway through a
+// replay of its recorded trace, with the session parked in it.
+func scenarioImage(t *testing.T, name string) *Image {
+	t.Helper()
+	sc, err := registry.LookupScenario(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := record(t, sc)
+	env := registry.MustNewEnv(browser.DeveloperMode)
+	s, err := replayer.New(env.Browser, replayer.Options{}).NewSession(nil, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(tr.Commands)/2; i++ {
+		if _, ok := s.Next(); !ok {
+			t.Fatalf("%s: session ended early at command %d", name, i)
+		}
+	}
+	img, err := Capture(env, s, Header{Scenario: name, Creator: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// freshGzipEncoding re-encodes an image's bytes with its body
+// recompressed by a brand-new gzip.Writer at the codec's level — what
+// the codec emitted before it pooled its writers.
+func freshGzipEncoding(t *testing.T, data []byte) []byte {
+	t.Helper()
+	split := bytes.Index(data, []byte("\n\n")) + 2
+	zr, err := gzip.NewReader(bytes.NewReader(data[split:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	out.Write(data[:split])
+	zw := gzip.NewWriter(&out)
+	if _, err := zw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestPooledEncodeMatchesFreshWriter pins that pooling the gzip state
+// changes no image: encoding one world repeatedly, with other worlds
+// encoded through the same pooled writers in between, yields the same
+// bytes every time, and those bytes are exactly what a fresh
+// gzip.NewWriter emits.
+func TestPooledEncodeMatchesFreshWriter(t *testing.T) {
+	img := scenarioImage(t, "edit-site")
+	other := scenarioImage(t, "compose-email")
+	first, digest, err := Encode(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := freshGzipEncoding(t, first); !bytes.Equal(first, fresh) {
+		t.Fatalf("pooled encoding (%d bytes) differs from a fresh gzip.Writer's (%d bytes)", len(first), len(fresh))
+	}
+	for i := 0; i < 8; i++ {
+		if _, _, err := Encode(other); err != nil {
+			t.Fatal(err)
+		}
+		again, d, err := Encode(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d != digest || !bytes.Equal(again, first) {
+			t.Fatalf("encode %d through the pool: %d bytes digest %s, want %d bytes digest %s",
+				i+1, len(again), d, len(first), digest)
+		}
+	}
+}
+
+// TestConcurrentEncodeDecode runs distinct scenario worlds through the
+// pooled codec from 8 goroutines at once: every goroutine must get
+// back its own bytes and digest, never another world's (run it under
+// -race).
+func TestConcurrentEncodeDecode(t *testing.T) {
+	names := registry.ScenarioNames()
+	const workers = 8
+	type want struct {
+		img    *Image
+		data   []byte
+		digest string
+	}
+	wants := make([]want, workers)
+	for i := range wants {
+		img := scenarioImage(t, names[i%len(names)])
+		img.Header.Extra = map[string]string{"worker": fmt.Sprint(i)}
+		data, digest, err := Encode(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = want{img, data, digest}
+	}
+	errs := make(chan error, workers)
+	for i := range wants {
+		go func(w want) {
+			for round := 0; round < 20; round++ {
+				data, digest, err := Encode(w.img)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if digest != w.digest || !bytes.Equal(data, w.data) {
+					errs <- fmt.Errorf("%s: round %d encoded digest %s, want %s", w.img.Header.Scenario, round, digest, w.digest)
+					return
+				}
+				back, digest, err := Decode(data)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if digest != w.digest || back.Header.Extra["worker"] != w.img.Header.Extra["worker"] {
+					errs <- fmt.Errorf("%s: round %d decoded digest %s worker %q, want %s worker %q", w.img.Header.Scenario,
+						round, digest, back.Header.Extra["worker"], w.digest, w.img.Header.Extra["worker"])
+					return
+				}
+			}
+			errs <- nil
+		}(wants[i])
+	}
+	for range wants {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestFailedDecodeLeavesPoolClean interleaves decodes that fail at
+// every stage — a gzip header the pooled reader cannot Reset onto, a
+// corrupt deflate stream, a body truncated mid-section — with decodes
+// of a good image, which must keep succeeding with the same digest:
+// no state from a failed call may leak into the next one.
+func TestFailedDecodeLeavesPoolClean(t *testing.T) {
+	good := smallImage(t)
+	_, wantDigest, err := Decode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyStart := bytes.Index(good, []byte("\n\n")) + 2
+	flip := func(off int) []byte {
+		b := append([]byte(nil), good...)
+		b[off] ^= 0xff
+		return b
+	}
+	bad := map[string][]byte{
+		"bad gzip magic":       flip(bodyStart),
+		"corrupt deflate":      flip(bodyStart + (len(good)-bodyStart)/2),
+		"truncated mid-body":   good[:bodyStart+(len(good)-bodyStart)/2],
+		"truncated gzip trail": good[:len(good)-4],
+		"empty body":           good[:bodyStart],
+	}
+	for round := 0; round < 3; round++ {
+		for name, data := range bad {
+			if _, _, err := Decode(data); err == nil {
+				t.Fatalf("%s: accepted", name)
+			}
+			if _, digest, err := Decode(good); err != nil || digest != wantDigest {
+				t.Fatalf("good decode after %s: digest %s err %v, want %s", name, digest, err, wantDigest)
+			}
+		}
 	}
 }
