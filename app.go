@@ -57,9 +57,8 @@ type NotSnapshottableError = registry.NotSnapshottableError
 
 // AppImageMarshaler is the optional durable-image capability of an
 // AppState — the serialization counterpart of AppSnapshotter. States
-// implementing it can be written into WARR-IMAGE world images and
-// shipped to other processes (the distributed campaign executor's
-// transport). MarshalImage must be deterministic — identical states,
+// implementing it can be written into WARR-IMAGE world images (replay
+// checkpoints, the corpus). MarshalImage must be deterministic — identical states,
 // identical bytes — because images are identified by content digest;
 // UnmarshalImage restores into a state freshly built by NewState.
 // WebServer.ExportSessions / ImportSessions cover the session half.

@@ -17,8 +17,9 @@ package warr_test
 //	BenchmarkWebErrCampaignPruning*     — §V-A heuristic 1 (prefix-failure pruning)
 //	BenchmarkEnvFork                    — one environment checkpoint (trie scheduler unit cost)
 //	BenchmarkCampaignSharedPrefix*      — trace-trie scheduler vs the flat-executor ablation
-//	BenchmarkImageWriteRead             — WARR-IMAGE serialize + restore round trip (per-shard shipping cost)
+//	BenchmarkImageWriteRead             — WARR-IMAGE serialize + restore round trip (checkpoint cost)
 //	BenchmarkCampaignDistributed        — the full campaign through the coordinator/worker wire protocol
+//	BenchmarkCampaignDistributedLongTrace — the same over a 119-command base (deep shard prefixes)
 //	BenchmarkFuzzCampaign               — one budgeted coverage-guided error-model fuzzing campaign
 //	BenchmarkLoadCampaign               — one multi-user load campaign (users/s on virtual time)
 //	BenchmarkSealReport                 — AUsER report encryption (§VI)
@@ -28,11 +29,13 @@ import (
 	"crypto/rsa"
 	"net/http/httptest"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	warr "github.com/dslab-epfl/warr"
+	"github.com/dslab-epfl/warr/internal/apps"
 	"github.com/dslab-epfl/warr/internal/baseline"
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
@@ -506,13 +509,12 @@ func benchSharedPrefixCampaign(b *testing.B, disableSharing bool) {
 	b.ReportMetric(float64(replays), "replays")
 }
 
-// BenchmarkImageWriteRead measures shipping one branch-point world to a
-// worker and back to life: capture the forked world mid-replay of the
-// edit-site trace, serialize it to WARR-IMAGE bytes (checksummed
-// sections included), decode and validate those bytes, and restore a
-// runnable environment plus replay session from them. This is the
-// per-shard overhead distributed campaigns pay instead of replaying the
-// shared prefix on every worker.
+// BenchmarkImageWriteRead measures one durable world checkpoint and
+// its restore: capture the forked world mid-replay of the edit-site
+// trace, serialize it to WARR-IMAGE bytes (checksummed sections
+// included), decode and validate those bytes, and restore a runnable
+// environment plus replay session from them — the round trip a
+// cancelled replay job's journal checkpoint takes.
 func BenchmarkImageWriteRead(b *testing.B) {
 	edit, _ := benchTraces(b)
 	env := warr.NewDemoEnv(warr.DeveloperMode)
@@ -555,15 +557,43 @@ func BenchmarkImageWriteRead(b *testing.B) {
 }
 
 // BenchmarkCampaignDistributed runs the edit-site navigation campaign
-// through the full coordinator/worker machinery — trie planning, image
-// shipping over loopback HTTP, two workers restoring worlds and
-// executing shards, outcome merge — and is read against
-// BenchmarkNavigationCampaignParallel (the same campaign, same
+// through the full coordinator/worker machinery — trie planning, leases
+// over loopback HTTP, two workers replaying each shard's shared prefix
+// and executing the rest of its subtree, outcome merge — and is read
+// against BenchmarkNavigationCampaignParallel (the same campaign, same
 // semantics, in-process): their gap is the wire-protocol tax.
 func BenchmarkCampaignDistributed(b *testing.B) {
 	edit, _ := benchTraces(b)
+	benchDistributedCampaign(b, edit)
+}
+
+// BenchmarkCampaignDistributedLongTrace is BenchmarkCampaignDistributed
+// on the deep-prefix side: a compose-email session with 100 extra
+// keystrokes typed into the body (a 119-command base), so shards sit
+// far deeper than in the Table II campaigns and every worker replays a
+// long shared prefix before its subtree branches.
+func BenchmarkCampaignDistributedLongTrace(b *testing.B) {
+	body := "Lunch?" + strings.Repeat("abcdefghij", 10)
+	sc := warr.NewScenario(apps.GMailApp(), "Compose long email").
+		ClickName("compose").Pause().
+		ClickName("to").Type("alice").Pause().
+		ClickName("subject").Type("Hi").Pause().
+		ClickName("body").Type(body).Pause().
+		DragName("composehdr", 30, 20).Pause().
+		ClickName("send").
+		MustBuild()
+	tr, err := warr.RecordSession(sc)
+	if err != nil {
+		b.Fatalf("recording long compose: %v", err)
+	}
+	benchDistributedCampaign(b, tr)
+}
+
+// benchDistributedCampaign runs the navigation campaign of base through
+// a pool and two loopback workers, once per iteration.
+func benchDistributedCampaign(b *testing.B, base warr.Trace) {
 	fresh := func() *warr.Browser { return warr.NewDemoEnv(warr.DeveloperMode).Browser }
-	tree, err := warr.InferTaskTree(fresh, edit)
+	tree, err := warr.InferTaskTree(fresh, base)
 	if err != nil {
 		b.Fatal(err)
 	}

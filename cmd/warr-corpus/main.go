@@ -19,8 +19,8 @@
 //	warr-corpus -run edit-site.image  # print one world image's restore outcome JSON
 //
 // Besides trace archives the corpus pins committed WARR-IMAGE world
-// images — the durable forked-world format the distributed campaign
-// coordinator ships to warr-worker processes. -verify decodes the
+// images — the durable forked-world format of replay-job checkpoints.
+// -verify decodes the
 // committed bytes (checksum and version validation), checks their
 // content digest against the golden, and resumes the restored session
 // to completion, so images stay restorable across builds.

@@ -88,8 +88,8 @@ type runOptions struct {
 // startWorkerPool brings up the distributed fleet: a coordinator pool
 // behind a loopback HTTP listener and n workers polling it — the same
 // wire protocol warr-worker speaks against warr-serve, collapsed into
-// one process. Load shards are self-describing schedule jobs, so no
-// world image crosses the wire.
+// one process. Load shards are self-describing schedule jobs, so the
+// schedule is the whole recipe.
 func startWorkerPool(n int) (*distrib.Pool, func(), error) {
 	pool := distrib.NewPool(distrib.PoolOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

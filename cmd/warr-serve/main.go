@@ -29,14 +29,14 @@
 //	POST /api/jobs/{id}/resume    continue a cancelled job as a new job
 //	POST /api/reports             ingest an AUsER report (plain or sealed)
 //	POST /api/distrib/lease       warr-worker shard lease poll
-//	GET  /api/distrib/image/{d}   branch-point world image by digest
 //	POST /api/distrib/complete    worker shard completion
 //	POST /api/distrib/heartbeat   worker liveness
 //
 // The /api/distrib endpoints are the distributed-campaign coordinator:
 // point warr-worker processes at this server and campaign jobs are
 // sharded across them, falling back to in-process execution whenever no
-// worker is connected.
+// worker is connected. A lease carries the shard's traces and the depth
+// of their shared prefix; no world image crosses the wire.
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM; jobs still running after it are checkpointed resumable")
 	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "distributed-campaign lease TTL; a warr-worker silent this long forfeits its shards")
 	journal := flag.String("journal", "", "write-ahead job journal file; submissions are journaled before they run and a killed server resumes them on the next boot (optional)")
-	faultSched := flag.String("faults", "", "fault schedule injected into the coordinator's distrib endpoints, e.g. drop:lease/2;delay:image/50ms;crash:w1@shard3 (testing)")
+	faultSched := flag.String("faults", "", "fault schedule injected into the coordinator's distrib endpoints, e.g. drop:lease/2;delay:complete/50ms;crash:w1@shard3 (testing)")
 	flag.Parse()
 
 	if err := run(*addr, *workers, *queue, *bench, *devkey, *journal, *faultSched, *drainTimeout, *leaseTTL); err != nil {

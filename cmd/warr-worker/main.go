@@ -1,10 +1,9 @@
 // warr-worker is the executing half of a distributed campaign: a
 // process that polls a coordinator (warr-serve's /api/distrib
 // endpoints, or the loopback coordinator weberr -workers starts) for
-// shard leases, restores each lease's branch-point world image into a
-// fresh environment, continues the subtree through the standard
-// campaign scheduler, and reports outcomes in the shared jobs event
-// vocabulary.
+// shard leases, replays each lease's shared prefix in a fresh
+// environment, continues the subtree through the standard campaign
+// scheduler, and reports outcomes in the shared jobs event vocabulary.
 //
 // Workers are stateless and disposable. One that dies mid-shard simply
 // stops heartbeating; the coordinator re-queues its leases and the

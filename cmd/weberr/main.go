@@ -26,11 +26,11 @@
 //	weberr -scenario edit-site -fuzz -budget 64 # coverage-guided fuzzing
 //
 // With -workers N the campaigns run distributed: a coordinator plans
-// the trace trie into shards, parks each branch-point world as a
-// durable image, and N worker processes (in-process here, but speaking
-// the same localhost HTTP/JSON protocol warr-worker uses against
-// warr-serve) restore the images and execute the shards. Findings are
-// identical to single-process execution at any worker count.
+// the trace trie into shards, and N worker processes (in-process here,
+// but speaking the same localhost HTTP/JSON protocol warr-worker uses
+// against warr-serve) each replay a shard's shared prefix and execute
+// the rest of its subtree. Findings are identical to single-process
+// execution at any worker count.
 package main
 
 import (

@@ -200,7 +200,7 @@ func (e *Executor) runJob(ctx context.Context, idx int, job Job) Outcome {
 	}
 
 	if !e.opts.DisablePruning && out.Result.Failed > 0 {
-		if k := firstFailure(out.Result); k >= 0 {
+		if k := FirstFailure(out.Result); k >= 0 {
 			e.prune.RecordFailure(job.Trace, k)
 		}
 	}
@@ -213,8 +213,9 @@ func (e *Executor) runJob(ctx context.Context, idx int, job Job) Outcome {
 	return out
 }
 
-// firstFailure returns the index of the first failed step (-1 if none).
-func firstFailure(res *replayer.Result) int {
+// FirstFailure returns the index of res's first failed step (-1 if
+// none).
+func FirstFailure(res *replayer.Result) int {
 	for _, s := range res.Steps {
 		if s.Status == replayer.StepFailed {
 			return s.Index

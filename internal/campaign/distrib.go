@@ -10,11 +10,12 @@ import (
 
 // Distributed campaign support: the trace-trie scheduler (shared.go)
 // split across processes. A coordinator replays each root's shared
-// spine exactly once, captures the world at branch points as durable
-// images (internal/image), and hands out shards — disjoint subsets of
-// jobs plus the image they resume from — to workers. A worker restores
-// the image into a fresh process and continues the subtree with the
-// very same scheduler, so distributed execution is the in-process
+// spine exactly once and hands out shards — disjoint subsets of jobs
+// plus the depth of the branch point they share — to workers. A worker
+// reaches the branch point by replaying the shard's shared prefix in a
+// fresh environment of its own (replay reproduces the session, so the
+// prefix is the recipe for the world) and continues the subtree with
+// the very same scheduler, so distributed execution is the in-process
 // shared path with process boundaries at branch points.
 //
 // Findings are identical to flat single-process execution under any
@@ -23,23 +24,13 @@ import (
 // so per-shard prune tables only shift the Replayed/Pruned split,
 // never the verdicts.
 
-// Imager captures a live replay session's whole world — browser,
-// page, pending work, and server-side application state — into a
-// durable image and returns a key (typically the image's content
-// digest) under which workers can fetch the serialized bytes. The
-// campaign package stays ignorant of the image format; internal/image
-// provides the canonical implementation.
-type Imager func(sess *replayer.Session) (key string, err error)
-
 // Shard is one unit of distributable campaign work: a subset of the
-// plan's jobs that share their first Depth commands, resumed from the
-// branch-point image stored under Image. Jobs are ascending original
-// job indices; a worker executes the shard with ExecuteSubtree and
-// returns one outcome per job, in Jobs order.
+// plan's jobs that share their first Depth commands. Jobs are
+// ascending original job indices; a worker executes the shard with
+// ExecuteShard and returns one outcome per job, in Jobs order.
 type Shard struct {
 	Jobs  []int
 	Depth int
-	Image string
 }
 
 // ShardPlan is the coordinator's side of a distributed campaign:
@@ -79,25 +70,25 @@ func (pl *ShardPlan) Merge(sh Shard, outcomes []Outcome) error {
 
 // PlanShards partitions a campaign for distributed execution. The
 // coordinator replays each trie root's shared spine once; at every
-// branch point it images the world and emits one shard per divergent
-// continuation small enough (at most maxJobs jobs — 0 means a single
-// level of sharding), descending into larger continuations to split
-// them further. Jobs whose traces end on a spine are finalized
-// locally, oracle included.
+// branch point it emits one shard per divergent continuation small
+// enough (at most maxJobs jobs — 0 means a single level of sharding),
+// descending into larger continuations to split them further. Jobs
+// whose traces end on a spine are finalized locally, oracle included.
 //
 // maxJobs is a target, not a guarantee: when a spine command fails (an
 // injected error sitting on a shared prefix) or a world refuses to
 // fork, the planner stops descending there and ships that whole
-// subtree as one shard off the last good branch-point image — graceful
-// degradation to a coarser split rather than refusing the campaign.
+// subtree as one shard resuming at the last good branch point —
+// graceful degradation to a coarser split rather than refusing the
+// campaign.
 //
 // ok == false means the campaign is not distributable — sharing is
-// disabled, hooks are attached, too few jobs, or the world cannot be
-// imaged — and the caller should Execute locally. Planning has no side
-// effects a local Execute cannot repeat: oracles only inspect, and
-// nothing is recorded in the prune table.
-func (e *Executor) PlanShards(ctx context.Context, jobs []Job, maxJobs int, imager Imager) (*ShardPlan, bool) {
-	if imager == nil || e.opts.DisablePrefixSharing || len(jobs) < 2 || len(e.opts.Replayer.Hooks) > 0 {
+// disabled, hooks are attached, too few jobs, or ctx was cancelled —
+// and the caller should Execute locally. Planning has no side effects
+// a local Execute cannot repeat: oracles only inspect, and nothing is
+// recorded in the prune table.
+func (e *Executor) PlanShards(ctx context.Context, jobs []Job, maxJobs int) (*ShardPlan, bool) {
+	if e.opts.DisablePrefixSharing || len(jobs) < 2 || len(e.opts.Replayer.Hooks) > 0 {
 		return nil, false
 	}
 	if ctx == nil {
@@ -106,15 +97,11 @@ func (e *Executor) PlanShards(ctx context.Context, jobs []Job, maxJobs int, imag
 	if maxJobs < 1 {
 		maxJobs = len(jobs)
 	}
-	defaultPacing := e.opts.Replayer.Pacing
-	if defaultPacing == 0 {
-		defaultPacing = replayer.PaceRecorded
-	}
 	p := &shardPlanner{
-		e: e, ctx: ctx, jobs: jobs, imager: imager, maxJobs: maxJobs,
+		e: e, ctx: ctx, jobs: jobs, maxJobs: maxJobs,
 		plan: &ShardPlan{Outcomes: make([]Outcome, len(jobs)), jobs: jobs},
 	}
-	for _, root := range buildTrie(jobs, defaultPacing) {
+	for _, root := range buildTrie(jobs, e.defaultPacing()) {
 		if !p.planRoot(root) {
 			return nil, false
 		}
@@ -122,18 +109,17 @@ func (e *Executor) PlanShards(ctx context.Context, jobs []Job, maxJobs int, imag
 	return p.plan, true
 }
 
-// shardPlanner walks trie spines on live sessions, imaging branch
-// points and emitting shards.
+// shardPlanner walks trie spines on live sessions, emitting shards at
+// branch points.
 type shardPlanner struct {
 	e       *Executor
 	ctx     context.Context
 	jobs    []Job
-	imager  Imager
 	maxJobs int
 	plan    *ShardPlan
-	// abort marks a hard planning failure — context cancellation or an
-	// imager error — that unwinds the whole plan. Soft failures (a
-	// failed spine command, an unforkable world) only coarsen the split.
+	// abort marks a hard planning failure — context cancellation — that
+	// unwinds the whole plan. Soft failures (a failed spine command, an
+	// unforkable world) only coarsen the split.
 	abort bool
 }
 
@@ -143,10 +129,7 @@ func (p *shardPlanner) planRoot(root *trieRoot) bool {
 	if p.ctx.Err() != nil {
 		return false
 	}
-	ropts := p.e.opts.Replayer
-	ropts.Pacing = root.key.pacing
-	b := p.e.newEnv()
-	sess, err := replayer.New(b, ropts).NewSession(p.ctx, p.jobs[root.node.minJob()].Trace)
+	sess, err := p.e.newSession(p.ctx, p.jobs[root.node.minJob()].Trace, root.key.pacing)
 	if err != nil {
 		return false
 	}
@@ -155,7 +138,7 @@ func (p *shardPlanner) planRoot(root *trieRoot) bool {
 
 // planNode consumes sess — positioned right after node's command —
 // finalizing jobs that end here, sharding small divergent
-// continuations off the imaged world, and descending into large ones.
+// continuations, and descending into large ones.
 // It returns false only for hard failures (p.abort is then set).
 func (p *shardPlanner) planNode(sess *replayer.Session, node *trieNode, curJob int) bool {
 	for _, ji := range node.terminal {
@@ -167,9 +150,8 @@ func (p *shardPlanner) planNode(sess *replayer.Session, node *trieNode, curJob i
 	}
 	// A parked tail is one job; a child subtree within maxJobs ships
 	// whole. Larger subtrees are descended into and split at their own
-	// branch points. The image is captured before any descent — it is
-	// both the small units' resume point and the fallback for big units
-	// the planner cannot descend into.
+	// branch points; this node is the resume point of every unit the
+	// planner cannot descend into.
 	var small, big []branchUnit
 	for _, u := range units {
 		if u.child != nil && len(u.child.collectJobs(nil)) > p.maxJobs {
@@ -177,11 +159,6 @@ func (p *shardPlanner) planNode(sess *replayer.Session, node *trieNode, curJob i
 		} else {
 			small = append(small, u)
 		}
-	}
-	key, err := p.imager(sess)
-	if err != nil {
-		p.abort = true
-		return false
 	}
 	shard := func(u branchUnit) {
 		var sj []int
@@ -191,7 +168,7 @@ func (p *shardPlanner) planNode(sess *replayer.Session, node *trieNode, curJob i
 		} else {
 			sj = []int{u.tail}
 		}
-		p.plan.Shards = append(p.plan.Shards, Shard{Jobs: sj, Depth: node.depth, Image: key})
+		p.plan.Shards = append(p.plan.Shards, Shard{Jobs: sj, Depth: node.depth})
 	}
 	for _, u := range small {
 		shard(u)
@@ -225,8 +202,8 @@ func (p *shardPlanner) planNode(sess *replayer.Session, node *trieNode, curJob i
 				return false
 			}
 			// The subtree's spine failed mid-descent: its shared prefix
-			// carries an injected error. Ship it whole off this node's
-			// image — the workers will replay (and prune) the failure
+			// carries an injected error. Ship it whole from this node —
+			// the workers will replay (and prune) the failure
 			// themselves, exactly as local execution would.
 			shard(u)
 		}
@@ -258,17 +235,17 @@ func (p *shardPlanner) descend(sess *replayer.Session, child *trieNode, curJob i
 	return p.planNode(sess, child, min)
 }
 
-// ExecuteSubtree replays one shard of a distributed campaign: jobs are
+// ExecuteShard replays one shard of a distributed campaign: jobs are
 // the shard's jobs (outcomes are indexed by position in this slice,
 // not by the coordinator's indices — ShardPlan.Merge rebinds them),
-// sess is a session restored from the shard's branch-point image,
-// positioned right after command depth-1 of a trace every shard job
-// agrees with on that prefix. The shard continues through the same
-// trie scheduler in-process branches use, including the executor's
-// pruning, parallelism, and Inspect oracle; jobs that cannot ride the
-// restored session fall back to full flat replays in fresh local
-// environments.
-func (e *Executor) ExecuteSubtree(ctx context.Context, jobs []Job, sess *replayer.Session, depth int) []Outcome {
+// and every one of them agrees on its first depth commands. The shard
+// replays that shared prefix once in a fresh environment, then
+// continues through the same trie scheduler in-process branches use,
+// including the executor's pruning, parallelism, and Inspect oracle.
+// A shard whose prefix cannot be replayed — a job shorter than depth,
+// jobs that disagree on it, or a prefix command that fails — falls
+// back to full flat replays in fresh environments.
+func (e *Executor) ExecuteShard(ctx context.Context, jobs []Job, depth int) []Outcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -276,59 +253,62 @@ func (e *Executor) ExecuteSubtree(ctx context.Context, jobs []Job, sess *replaye
 	if e.opts.Parallelism > 1 {
 		r.sem = make(chan struct{}, e.opts.Parallelism-1)
 	}
-	r.execSubtreeAt(sess, depth)
+	if !r.execShard(depth) {
+		r.flatAll()
+	}
 	r.wg.Wait()
 	return r.outcomes
 }
 
-// execSubtreeAt positions the shard's trie under the restored session
-// and hands the subtree to the shared scheduler.
-func (r *sharedRun) execSubtreeAt(sess *replayer.Session, depth int) {
+// execShard positions the shard's trie at depth, replays the shared
+// prefix, and hands the subtree to the shared scheduler. It reports
+// false, having finalized no job, when the shard must replay flat.
+func (r *sharedRun) execShard(depth int) bool {
 	if len(r.jobs) == 0 {
-		return
+		return true
 	}
-	for _, j := range r.jobs {
-		if len(j.Trace.Commands) < depth {
-			// Not a prefix of the imaged world: the shard is malformed.
-			// Replay everything flat rather than lose jobs.
-			r.flatAll()
-			return
+	var node *trieNode
+	if len(r.jobs) > 1 {
+		roots := buildTrie(r.jobs, r.e.defaultPacing())
+		if len(roots) != 1 {
+			// Shard jobs share a start URL and pacing by construction.
+			return false
+		}
+		// With two or more jobs sharing at least depth commands, the
+		// trie spine to depth is fully materialized (tail splitting
+		// creates one node per shared command); a job shorter than
+		// depth ends the spine early.
+		node = roots[0].node
+		for node.depth < depth {
+			if len(node.children) != 1 || len(node.terminal) > 0 || len(node.tails) > 0 {
+				return false
+			}
+			node = node.children[0]
 		}
 	}
-	if len(r.jobs) == 1 {
-		// A single parked tail: no trie needed. curJob -1 forces the
-		// retarget from the imaged trace onto the job's own.
-		r.runTailFrom(sess, tracePrefixDigest(r.jobs[0].Trace, depth), depth, 0, -1, false)
-		return
+	pacing := r.jobs[0].Pacing
+	if pacing == 0 {
+		pacing = r.e.defaultPacing()
 	}
-	defaultPacing := r.e.opts.Replayer.Pacing
-	if defaultPacing == 0 {
-		defaultPacing = replayer.PaceRecorded
+	sess, err := r.e.newSession(r.ctx, r.jobs[0].Trace, pacing)
+	if err != nil {
+		return false
 	}
-	roots := buildTrie(r.jobs, defaultPacing)
-	if len(roots) != 1 {
-		// Shard jobs share a start URL and pacing by construction.
-		r.flatAll()
-		return
-	}
-	// With two or more jobs sharing at least depth commands, the trie
-	// spine to depth is fully materialized (tail splitting creates one
-	// node per shared command); walk it without executing — the
-	// restored session already replayed those commands.
-	node := roots[0].node
-	for node.depth < depth {
-		if len(node.children) != 1 || len(node.terminal) > 0 || len(node.tails) > 0 {
-			r.flatAll()
-			return
+	for range depth {
+		// !ok also catches a single job shorter than depth.
+		if step, ok := sess.Next(); !ok || step.Status == replayer.StepFailed {
+			return false
 		}
-		node = node.children[0]
 	}
-	min := node.minJob()
-	if err := sess.Retarget(r.jobs[min].Trace); err != nil {
-		r.flatAll()
-		return
+	// The session carries job 0's trace, and job 0 — the shard's
+	// minimum — runs through node.
+	if node == nil {
+		// A single parked tail: no trie needed.
+		r.runTailFrom(sess, tracePrefixDigest(r.jobs[0].Trace, depth), depth, 0, 0, false)
+	} else {
+		r.runSubtree(sess, node, 0, false)
 	}
-	r.runSubtree(sess, node, min, false)
+	return true
 }
 
 // flatAll replays every shard job through the classic flat path.

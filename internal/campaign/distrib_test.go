@@ -6,50 +6,24 @@ import (
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/command"
-	"github.com/dslab-epfl/warr/internal/image"
-	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
 )
 
-// storeImager returns an Imager writing branch-point images into store,
-// keyed by content digest — the same wiring the distrib coordinator
-// uses.
-func storeImager(store *image.Store) Imager {
-	return func(sess *replayer.Session) (string, error) {
-		env, ok := sess.Tab().Browser().World().(*registry.Env)
-		if !ok {
-			return "", fmt.Errorf("session browser has no registry world")
-		}
-		img, err := image.Capture(env, sess, image.Header{})
-		if err != nil {
-			return "", err
-		}
-		return store.Add(img)
-	}
-}
-
-// runShardsLocally simulates a worker fleet: every shard restores its
-// branch-point image into a brand-new executor (fresh environment
-// factory, fresh prune table — exactly what a separate process gets)
-// and the outcomes merge back into the plan. Meta is stripped from the
-// shard's jobs first, as the wire protocol strips it.
-func runShardsLocally(t *testing.T, plan *ShardPlan, jobs []Job, store *image.Store, opts Options) {
+// runShardsLocally simulates a worker fleet: every shard runs on a
+// brand-new executor (fresh environment factory, fresh prune table —
+// exactly what a separate process gets), which replays the shard's
+// shared prefix itself, and the outcomes merge back into the plan.
+// Meta is stripped from the shard's jobs first, as the wire protocol
+// strips it.
+func runShardsLocally(t *testing.T, plan *ShardPlan, jobs []Job, opts Options) {
 	t.Helper()
 	for _, sh := range plan.Shards {
-		img, err := store.Get(sh.Image)
-		if err != nil {
-			t.Fatalf("fetching shard image: %v", err)
-		}
-		_, sess, err := image.LoadSession(img, nil, nil)
-		if err != nil {
-			t.Fatalf("restoring shard image: %v", err)
-		}
 		shardJobs := make([]Job, len(sh.Jobs))
 		for i, ji := range sh.Jobs {
 			shardJobs[i] = Job{Trace: jobs[ji].Trace, Pacing: jobs[ji].Pacing}
 		}
 		worker := New(freshBrowser, opts)
-		outs := worker.ExecuteSubtree(nil, shardJobs, sess, sh.Depth)
+		outs := worker.ExecuteShard(nil, shardJobs, sh.Depth)
 		if err := plan.Merge(sh, outs); err != nil {
 			t.Fatalf("merging shard outcomes: %v", err)
 		}
@@ -67,8 +41,8 @@ func pageOracle(job Job, res *replayer.Result, tab *browser.Tab) error {
 	return fmt.Errorf("page %s %q", tab.URL(), tab.Title())
 }
 
-// TestShardedExecutionMatchesFlat: plan → restore-from-image →
-// ExecuteSubtree → merge reproduces flat execution for mutant-shaped
+// TestShardedExecutionMatchesFlat: plan → ExecuteShard → merge
+// reproduces flat execution for mutant-shaped
 // jobs, at several shard granularities. With pruning disabled the full
 // outcome — step lists included — must match; with pruning enabled the
 // Replayed/Pruned split may shift across shard boundaries (each worker
@@ -87,9 +61,8 @@ func TestShardedExecutionMatchesFlat(t *testing.T) {
 		flat := New(freshBrowser, flatOpts).Execute(nil, jobs)
 
 		for _, maxJobs := range []int{0, 3, 1} {
-			store := image.NewStore()
 			coord := New(freshBrowser, opts)
-			plan, ok := coord.PlanShards(nil, jobs, maxJobs, storeImager(store))
+			plan, ok := coord.PlanShards(nil, jobs, maxJobs)
 			if !ok {
 				t.Fatalf("pruning=%v maxJobs=%d: campaign not distributable", pruning, maxJobs)
 			}
@@ -114,7 +87,7 @@ func TestShardedExecutionMatchesFlat(t *testing.T) {
 				}
 			}
 
-			runShardsLocally(t, plan, jobs, store, opts)
+			runShardsLocally(t, plan, jobs, opts)
 
 			for i := range jobs {
 				got, want := plan.Outcomes[i], flat[i]
@@ -139,26 +112,22 @@ func TestPlanShardsRefusals(t *testing.T) {
 	tr := recordEditSite(t)
 	jobs := []Job{{Trace: tr}, {Trace: tr.Clone()}}
 	jobs[1].Trace.Commands[len(tr.Commands)-1].XPath = `//div[@id="elsewhere"]`
-	imager := storeImager(image.NewStore())
 
-	if _, ok := New(freshBrowser, Options{}).PlanShards(nil, jobs, 0, nil); ok {
-		t.Error("planned without an imager")
-	}
-	if _, ok := New(freshBrowser, Options{DisablePrefixSharing: true}).PlanShards(nil, jobs, 0, imager); ok {
+	if _, ok := New(freshBrowser, Options{DisablePrefixSharing: true}).PlanShards(nil, jobs, 0); ok {
 		t.Error("planned with prefix sharing disabled")
 	}
-	if _, ok := New(freshBrowser, Options{}).PlanShards(nil, jobs[:1], 0, imager); ok {
+	if _, ok := New(freshBrowser, Options{}).PlanShards(nil, jobs[:1], 0); ok {
 		t.Error("planned a single-job campaign")
 	}
 	hooked := Options{Replayer: replayer.Options{Hooks: []replayer.Hooks{{}}}}
-	if _, ok := New(freshBrowser, hooked).PlanShards(nil, jobs, 0, imager); ok {
+	if _, ok := New(freshBrowser, hooked).PlanShards(nil, jobs, 0); ok {
 		t.Error("planned with replay hooks attached")
 	}
 
 	// A failing command on a shared spine coarsens the plan instead of
 	// refusing it: descending with maxJobs=1 makes the planner execute
 	// the bogus shared prefix, fail, and ship the whole subtree as one
-	// over-sized shard off the pre-descent image — the workers replay
+	// over-sized shard resuming before the descent — the workers replay
 	// (and prune) the failure themselves.
 	bad := command.Trace{StartURL: tr.StartURL, Commands: []command.Command{
 		{Action: command.Click, XPath: `//div[@id="no-such-element"]`, Elapsed: 1},
@@ -171,7 +140,7 @@ func TestPlanShardsRefusals(t *testing.T) {
 	strict := Options{Replayer: replayer.Options{
 		DisableRelaxation: true, DisableCoordinateFallback: true,
 	}}
-	plan, ok := New(freshBrowser, strict).PlanShards(nil, badJobs, 1, imager)
+	plan, ok := New(freshBrowser, strict).PlanShards(nil, badJobs, 1)
 	if !ok {
 		t.Fatal("failing shared spine refused the plan instead of coarsening it")
 	}
@@ -186,11 +155,75 @@ func TestPlanShardsRefusals(t *testing.T) {
 	}
 	// At single-level granularity the same jobs shard fine: the spine
 	// is never executed, the failure surfaces on workers.
-	plan, ok = New(freshBrowser, strict).PlanShards(nil, badJobs, 0, imager)
+	plan, ok = New(freshBrowser, strict).PlanShards(nil, badJobs, 0)
 	if !ok {
 		t.Fatal("single-level plan refused")
 	}
 	if len(plan.Shards) == 0 {
 		t.Fatal("single-level plan produced no shards")
+	}
+}
+
+// TestShardPrefixFallbackMatchesFlat attacks the worker's prefix
+// replay: a shard whose shared prefix cannot be replayed — a job
+// shorter than the shard depth, jobs that disagree on the prefix, or
+// a prefix command that fails — must still produce, outcome by
+// outcome, exactly what flat execution of the same jobs produces.
+func TestShardPrefixFallbackMatchesFlat(t *testing.T) {
+	tr := recordEditSite(t)
+	if len(tr.Commands) < 4 {
+		t.Fatalf("edit-site trace has %d commands, need 4", len(tr.Commands))
+	}
+	mutant := func(at int) command.Trace {
+		m := tr.Clone()
+		m.Commands[at] = tr.Commands[(at+3)%len(tr.Commands)]
+		return m
+	}
+	short := tr.Clone()
+	short.Commands = short.Commands[:2]
+	bad := command.Trace{StartURL: tr.StartURL, Commands: append([]command.Command{
+		{Action: command.Click, XPath: `//div[@id="no-such-element"]`, Elapsed: 1},
+	}, tr.Commands...)}
+	badMutant := bad.Clone()
+	badMutant.Commands[2] = tr.Commands[3]
+
+	cases := []struct {
+		name  string
+		jobs  []command.Trace
+		depth int
+	}{
+		{"job shorter than depth", []command.Trace{tr, mutant(3), short}, 3},
+		{"single job shorter than depth", []command.Trace{short}, 3},
+		{"jobs disagree on the prefix", []command.Trace{tr, mutant(1)}, 3},
+		{"failing prefix command", []command.Trace{bad, badMutant}, 2},
+		{"failing prefix of a single tail", []command.Trace{bad}, 2},
+		{"replayable prefix", []command.Trace{tr, mutant(3), mutant(2)}, 2},
+	}
+	for _, c := range cases {
+		jobs := make([]Job, len(c.jobs))
+		for i, jt := range c.jobs {
+			jobs[i] = Job{Trace: jt}
+		}
+		for _, pruning := range []bool{false, true} {
+			// Strict resolution, or the coordinate fallback rescues the
+			// bogus click and the prefix never fails.
+			opts := Options{
+				DisablePruning: !pruning,
+				Replayer: replayer.Options{
+					Pacing:            replayer.PaceNone,
+					DisableRelaxation: true, DisableCoordinateFallback: true,
+				},
+				Inspect: pageOracle,
+			}
+			flatOpts := opts
+			flatOpts.DisablePrefixSharing = true
+			flat := New(freshBrowser, flatOpts).Execute(nil, jobs)
+			got := New(freshBrowser, opts).ExecuteShard(nil, jobs, c.depth)
+			for i := range jobs {
+				if g, w := outcomeKey(got[i]), outcomeKey(flat[i]); g != w {
+					t.Errorf("%s (pruning=%v) job %d:\nflat:  %s\nshard: %s", c.name, pruning, i, w, g)
+				}
+			}
+		}
 	}
 }

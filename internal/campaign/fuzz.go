@@ -280,7 +280,7 @@ func (f *FuzzExecutor) absorb(outs []Outcome) {
 		}
 		if out.Result.Failed > 0 {
 			f.stats.ReplayFailures++
-			if k := firstFailure(out.Result); k >= 0 {
+			if k := FirstFailure(out.Result); k >= 0 {
 				f.prune.RecordFailure(out.Job.Trace, k)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/replayer"
 )
 
@@ -53,11 +54,7 @@ func (e *Executor) tryExecuteShared(ctx context.Context, jobs []Job) ([]Outcome,
 	if e.opts.DisablePrefixSharing || len(jobs) < 2 || len(e.opts.Replayer.Hooks) > 0 {
 		return nil, false
 	}
-	defaultPacing := e.opts.Replayer.Pacing
-	if defaultPacing == 0 {
-		defaultPacing = replayer.PaceRecorded
-	}
-	roots := buildTrie(jobs, defaultPacing)
+	roots := buildTrie(jobs, e.defaultPacing())
 	if sharedCommands(roots, jobs) == 0 {
 		return nil, false
 	}
@@ -78,6 +75,22 @@ func (e *Executor) tryExecuteShared(ctx context.Context, jobs []Job) ([]Outcome,
 	}
 	r.wg.Wait()
 	return r.outcomes, true
+}
+
+// defaultPacing is the pacing of jobs that do not override it.
+func (e *Executor) defaultPacing() replayer.Pacing {
+	if e.opts.Replayer.Pacing == 0 {
+		return replayer.PaceRecorded
+	}
+	return e.opts.Replayer.Pacing
+}
+
+// newSession opens a replay session of tr, paced as pacing, in a fresh
+// environment.
+func (e *Executor) newSession(ctx context.Context, tr command.Trace, pacing replayer.Pacing) (*replayer.Session, error) {
+	ropts := e.opts.Replayer
+	ropts.Pacing = pacing
+	return replayer.New(e.newEnv(), ropts).NewSession(ctx, tr)
 }
 
 // trySpawn runs fn on a worker goroutine if a parallelism slot is
@@ -109,10 +122,7 @@ func (r *sharedRun) runRoot(root *trieRoot) {
 		r.skipSubtree(root.node)
 		return
 	}
-	ropts := r.e.opts.Replayer
-	ropts.Pacing = root.key.pacing
-	b := r.e.newEnv()
-	s, err := replayer.New(b, ropts).NewSession(r.ctx, r.jobs[root.node.minJob()].Trace)
+	s, err := r.e.newSession(r.ctx, r.jobs[root.node.minJob()].Trace, root.key.pacing)
 	if err != nil {
 		// The start page failed to load. Every job of this root starts
 		// on the same page, so each gets the same total-failure outcome
@@ -248,7 +258,7 @@ func (r *sharedRun) runTail(sess *replayer.Session, node *trieNode, t int, curJo
 // runTailFrom is runTail starting from an explicit prefix position: h
 // is the chained digest of the first startDepth commands of job t's
 // trace, which sess has already replayed. Distributed shards use it
-// directly — a single-job shard resumes from a branch-point image with
+// directly — a single-job shard resumes after its replayed prefix with
 // no trie node to anchor to.
 func (r *sharedRun) runTailFrom(sess *replayer.Session, h prefixDigest, startDepth int, t int, curJob int, failed bool) {
 	if t != curJob {

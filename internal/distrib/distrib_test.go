@@ -162,6 +162,48 @@ func TestDistributedMatchesFlat(t *testing.T) {
 	}
 }
 
+// TestDistributedFuzzMatchesLocal runs the coverage-guided fuzz
+// campaign of every Table II scenario locally and through 1 and 2
+// workers: the whole stats block — generated, deduped, pruned,
+// replayed, replay failures, coverage, corpus — and the findings must
+// be identical. Coverage only matches if a worker's shard reaches its
+// branch point through the same events a local run dispatches, and
+// pruning only matches if worker outcomes carry their first failed
+// step back to the fuzz loop's prune table.
+func TestDistributedFuzzMatchesLocal(t *testing.T) {
+	for _, sc := range apps.TableIIScenarios() {
+		t.Run(sc.Name, func(t *testing.T) {
+			rec, _ := scenarioGrammar(t, sc)
+			spec := jobs.Spec{Kind: jobs.KindFuzzCampaign, Trace: rec.Trace, FuzzSeed: 1}
+			fuzzStats := func(engine *jobs.Engine) campaign.FuzzStats {
+				t.Helper()
+				job, err := engine.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = job.Wait(nil)
+				if err := job.Err(); err != nil || job.FuzzStats() == nil {
+					t.Fatalf("fuzz campaign failed: %v", err)
+				}
+				return *job.FuzzStats()
+			}
+			localEngine := jobs.New(jobs.Options{Workers: 1, QueueDepth: 8})
+			defer localEngine.Close()
+			local := fuzzStats(localEngine)
+			for _, n := range []int{1, 2} {
+				engine, pool := distribEngine(t, n, time.Second)
+				dist := fuzzStats(engine)
+				if !reflect.DeepEqual(local, dist) {
+					t.Errorf("workers=%d: fuzz stats diverged\nlocal:       %+v\ndistributed: %+v", n, local, dist)
+				}
+				if got := poolMetric(t, pool, "warr_distrib_campaigns_total"); got == "0" {
+					t.Errorf("workers=%d: no fuzz batch was distributed", n)
+				}
+			}
+		})
+	}
+}
+
 // TestDistributedTimingMatchesFlat covers the timing campaign: mixed
 // pacing puts jobs in different trie roots, so the plan mixes real
 // branch-point shards with whole-root tails.
@@ -289,8 +331,6 @@ func TestPoolMetrics(t *testing.T) {
 	for _, name := range []string{
 		"warr_distrib_workers_connected",
 		"warr_distrib_leased_shards",
-		"warr_distrib_images_shipped_total",
-		"warr_distrib_stolen_tails_total",
 		"warr_distrib_campaigns_total",
 		"warr_distrib_parked_polls",
 	} {
@@ -333,13 +373,15 @@ func TestLeaseEndpointValidation(t *testing.T) {
 		t.Errorf("idle pool leased %q, want %q", l.Status, StatusIdle)
 	}
 
-	resp, err = http.Get(srv.URL + "/image/no-such-digest")
+	// Older workers still fetch a branch-point image per lease; the 404
+	// sends them to their flat fallback.
+	resp, err = http.Get(srv.URL + "/image/sha256-0123")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("missing image: %s, want 404", resp.Status)
+		t.Errorf("image fetch: %s, want 404", resp.Status)
 	}
 }
 
@@ -359,6 +401,12 @@ func TestOutcomeWireRoundTrip(t *testing.T) {
 		{"finding", campaign.Outcome{
 			Result:  &replayer.Result{Played: 5},
 			Verdict: fmt.Errorf("console errors: boom"),
+		}, "replayed"},
+		{"fuzz replay failing at step 0", campaign.Outcome{
+			Result: &replayer.Result{Played: 5, Failed: 2, Steps: []replayer.Step{
+				{Index: 0, Status: replayer.StepFailed}, {Index: 1}, {Index: 2, Status: replayer.StepFailed},
+			}},
+			Coverage: []byte{0x5a},
 		}, "replayed"},
 	}
 	for i, c := range cases {
@@ -381,6 +429,18 @@ func TestOutcomeWireRoundTrip(t *testing.T) {
 				back.Result.Cancelled != c.out.Result.Cancelled {
 				t.Errorf("%s: result diverged: %+v", c.name, back.Result)
 			}
+		}
+		// The fuzz loop's prune table needs the first failed step; only
+		// fuzz outcomes (those with coverage) carry it.
+		want, got := -1, -1
+		if len(c.out.Coverage) > 0 && c.out.Result != nil {
+			want = campaign.FirstFailure(c.out.Result)
+		}
+		if back.Result != nil {
+			got = campaign.FirstFailure(back.Result)
+		}
+		if got != want {
+			t.Errorf("%s: first failed step %d, want %d", c.name, got, want)
 		}
 		if (c.out.Verdict != nil) != (back.Verdict != nil) {
 			t.Errorf("%s: verdict lost or invented", c.name)

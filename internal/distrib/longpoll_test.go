@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"net"
 	"net/http"
@@ -11,7 +12,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +20,7 @@ import (
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/faults"
-	"github.com/dslab-epfl/warr/internal/image"
+	"github.com/dslab-epfl/warr/internal/fnv1a"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/replayer"
@@ -286,10 +286,13 @@ func TestPollForfeitsLostGrant(t *testing.T) {
 }
 
 // TestLeaseReplyChecksum: a grant corrupted in flight can still decode
-// as JSON with a garbled trace; the seal must reject it.
+// as JSON with a garbled trace; the seal must reject it. A grant sealed
+// by an older coordinator, whose leases also carried a branch-point
+// image digest, must still verify.
 func TestLeaseReplyChecksum(t *testing.T) {
 	l := WireLease{
 		Status: StatusLease, ID: "lease-1", Campaign: "navigation", Token: "run-1/0",
+		Parallelism: 2, Depth: 1,
 		Jobs: []WireJob{{Trace: command.Trace{StartURL: "http://sites.test/", Commands: []command.Command{
 			{Action: command.Click, XPath: `//div[@id="edit"]`},
 			{Action: command.Type, XPath: `//textarea[@name="body"]`, Key: "H", Code: 72},
@@ -302,16 +305,40 @@ func TestLeaseReplyChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var clean WireLease
-	if err := json.Unmarshal(b, &clean); err != nil || !clean.Verify() {
-		t.Fatalf("intact sealed lease rejected: %v", err)
+	if !verifySealed(append(b, '\n'), l.Sum) {
+		t.Fatal("intact sealed lease rejected")
 	}
-	var bad WireLease
-	if err := json.Unmarshal(faults.CorruptBody(b), &bad); err != nil {
+	bad := faults.CorruptBody(append([]byte(nil), b...))
+	var garbled WireLease
+	if err := json.Unmarshal(bad, &garbled); err != nil {
 		t.Fatalf("the flipped byte no longer lands inside a JSON value: %v", err)
 	}
-	if bad.Verify() {
-		t.Errorf("corrupted lease passed verification: %+v", bad)
+	if verifySealed(bad, garbled.Sum) {
+		t.Errorf("corrupted lease passed verification: %+v", garbled)
+	}
+
+	// An older coordinator's grant: the image field sat between
+	// parallelism and depth, and the seal covers it.
+	l.Sum = 0
+	unsealed, err := json.Marshal(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(unsealed), `"parallelism":2,`, `"parallelism":2,"image":"sha256-0123",`, 1)
+	if old == string(unsealed) {
+		t.Fatal("lease encoding has no parallelism field to splice after")
+	}
+	sum := fnv1a.Bytes([]byte(old))
+	old = strings.TrimSuffix(old, "}") + fmt.Sprintf(`,"sum":%d}`, sum)
+	var got WireLease
+	if err := json.Unmarshal([]byte(old), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !verifySealed([]byte(old+"\n"), got.Sum) {
+		t.Error("an older coordinator's sealed grant was rejected")
+	}
+	if got.Depth != 1 || len(got.Jobs) != 1 {
+		t.Errorf("older grant decoded as %+v", got)
 	}
 }
 
@@ -341,122 +368,5 @@ func TestSealMatchesHashFNV(t *testing.T) {
 	}
 	if !msg.Verify() {
 		t.Error("sealed message failed verification")
-	}
-}
-
-// TestRunImagesDropped runs 20 campaigns over the Table II scenarios:
-// afterwards the pool's store holds no image, and once the workers'
-// held polls come back idle their caches are empty too.
-func TestRunImagesDropped(t *testing.T) {
-	type campaignCase struct {
-		plan    []campaign.Job
-		newExec func() *campaign.Executor
-		spec    jobs.DistSpec
-	}
-	var cases []campaignCase
-	for _, sc := range apps.TableIIScenarios() {
-		plan, newExec, spec := tableIICampaign(t, sc)
-		cases = append(cases, campaignCase{plan, newExec, spec})
-	}
-
-	pool := NewPool(PoolOptions{LeaseTTL: time.Second, Logf: t.Logf})
-	hold := pool.holdWindow()
-	srv := httptest.NewServer(pool.Handler())
-	t.Cleanup(srv.Close)
-	workers, stop := startWorkersPolling(t, srv.URL, 2, 2*time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := pool.WaitForWorkers(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 20; i++ {
-		c := cases[i%len(cases)]
-		if _, ok := pool.DistributeCampaign(context.Background(), c.newExec(), c.plan, c.spec); !ok {
-			t.Fatalf("campaign %d was not distributed", i)
-		}
-	}
-	if n := pool.Store().Len(); n != 0 {
-		t.Errorf("store holds %d images after every run ended", n)
-	}
-	pool.mu.Lock()
-	owners := len(pool.imageOwner)
-	pool.mu.Unlock()
-	if owners != 0 {
-		t.Errorf("pool tracks %d image owners after every run ended", owners)
-	}
-	if got := poolMetric(t, pool, "warr_distrib_images_shipped_total"); got == "0" {
-		t.Fatal("no image was shipped; the retention check is vacuous")
-	}
-
-	// Every worker's next held poll comes back idle after one hold
-	// window.
-	time.Sleep(5 * hold)
-	stop()
-	for _, w := range workers {
-		if n := len(w.cache) + len(w.prevCache); n != 0 {
-			t.Errorf("%s still caches %d images with no run in flight", w.ID(), n)
-		}
-	}
-}
-
-// TestWorkerImageCacheSpansTwoRuns pins the worker cache's bound: the
-// current run's images, plus the previous run's until this run reuses
-// them or the next run starts.
-func TestWorkerImageCacheSpansTwoRuns(t *testing.T) {
-	w := NewWorker(WorkerOptions{Coordinator: "http://127.0.0.1:1"})
-	a, b := &image.Image{}, &image.Image{}
-	w.startRun("run-1/0")
-	w.cache["a"], w.cache["b"] = a, b
-
-	w.startRun("run-2/3")
-	if got, err := w.fetchImage(context.Background(), "a"); err != nil || got != a {
-		t.Fatalf("run 2 did not reuse run 1's image: %v", err)
-	}
-	if len(w.cache) != 1 || len(w.prevCache) != 1 {
-		t.Fatalf("after reuse: cache %d, previous %d; want 1 and 1", len(w.cache), len(w.prevCache))
-	}
-
-	w.startRun("run-3/0")
-	if _, ok := w.prevCache["b"]; ok {
-		t.Error("run 1's unused image survived into run 3")
-	}
-	if w.prevCache["a"] != a || len(w.cache) != 0 {
-		t.Errorf("run 3: cache %d, previous %v; want run 2's image a as previous", len(w.cache), w.prevCache)
-	}
-	w.startRun("run-3/1")
-	if w.prevCache["a"] != a {
-		t.Error("a second lease of the same run rotated the cache")
-	}
-
-	w.forgetImages()
-	if len(w.cache)+len(w.prevCache) != 0 {
-		t.Error("an idle reply left images cached")
-	}
-}
-
-// TestImageGoneSkipsRetries: a 404 from GET /image/ means the run that
-// captured the image is over, so the worker goes straight to the flat
-// fallback instead of spending its retry budget.
-func TestImageGoneSkipsRetries(t *testing.T) {
-	pool := NewPool(PoolOptions{})
-	var fetches atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/image/") {
-			fetches.Add(1)
-		}
-		pool.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	w := NewWorker(WorkerOptions{Coordinator: srv.URL, RetryBase: time.Second})
-	_, err := w.fetchImage(context.Background(), "sha256-gone")
-	if !errors.Is(err, errImageGone) {
-		t.Errorf("fetching a dropped image: %v, want errImageGone", err)
-	}
-	if n := fetches.Load(); n != 1 {
-		t.Errorf("%d image requests, want 1", n)
-	}
-	if n := w.retries.Load(); n != 0 {
-		t.Errorf("%d retries spent on a dropped image", n)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"github.com/dslab-epfl/warr/internal/image"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/multiuser"
-	"github.com/dslab-epfl/warr/internal/replayer"
 )
 
 // PoolOptions configure a coordinator pool.
@@ -34,7 +33,7 @@ type PoolOptions struct {
 	// from the queue instead of sitting out the stragglers.
 	ShardFactor int
 	// Faults, when armed, injects the schedule's coordinator-side
-	// faults: lease/image/complete/heartbeat requests are dropped,
+	// faults: lease/complete/heartbeat requests are dropped,
 	// delayed, or corrupted before the handlers serve them, and crash
 	// ops mark granted leases with the worker-death directive. nil
 	// injects nothing and costs one nil check per request.
@@ -49,9 +48,8 @@ type PoolOptions struct {
 // refuses, and the engine executes locally — distribution is an
 // optimization, never a requirement.
 type Pool struct {
-	opts  PoolOptions
-	store *image.Store
-	mux   *http.ServeMux
+	opts PoolOptions
+	mux  *http.ServeMux
 
 	mu        sync.Mutex
 	workers   map[string]time.Time
@@ -64,14 +62,6 @@ type Pool struct {
 	// parkedPolls counts lease polls currently held open.
 	parkedPolls atomic.Int64
 
-	// imageOwner maps an image digest to the first worker that leased a
-	// shard resuming from it — the worker whose cache already holds the
-	// bytes. A single-job shard (a parked tail) granted to any other
-	// worker is a stolen tail: idle capacity pulling work that "belongs"
-	// to another worker's world.
-	imageOwner    map[string]string
-	imagesShipped int
-	stolenTails   int
 	campaigns     int
 	loadCampaigns int
 
@@ -89,8 +79,7 @@ type poolRun struct {
 	jobs      []campaign.Job
 	plan      *campaign.ShardPlan
 	spec      jobs.DistSpec
-	token     string   // completion-token prefix, unique per run
-	images    []string // store digests captured for this run
+	token     string // completion-token prefix, unique per run
 	queue     []int
 	leases    map[string]*lease
 	completed []bool
@@ -121,27 +110,27 @@ func NewPool(opts PoolOptions) *Pool {
 		opts.ShardFactor = 4
 	}
 	p := &Pool{
-		opts:       opts,
-		store:      image.NewStore(),
-		workers:    make(map[string]time.Time),
-		imageOwner: make(map[string]string),
-		wake:       make(chan struct{}),
+		opts:    opts,
+		workers: make(map[string]time.Time),
+		wake:    make(chan struct{}),
 	}
 	p.mux = http.NewServeMux()
 	p.mux.HandleFunc("POST /lease", p.handleLease)
-	p.mux.HandleFunc("GET /image/{digest}", p.handleImage)
 	p.mux.HandleFunc("POST /complete", p.handleComplete)
 	p.mux.HandleFunc("POST /heartbeat", p.handleHeartbeat)
 	return p
 }
 
-// Handler returns the coordinator's HTTP surface: POST /lease, GET
-// /image/{digest}, POST /complete, POST /heartbeat.
+// Handler returns the coordinator's HTTP surface: POST /lease, POST
+// /complete, POST /heartbeat. An older worker's GET /image/{digest}
+// gets 404 and replays its shard flat.
 func (p *Pool) Handler() http.Handler { return p.mux }
 
-// Store exposes the pool's content-addressed image store. A run's
-// branch-point images live there only until the run ends.
-func (p *Pool) Store() *image.Store { return p.store }
+// Store returns an empty image store.
+//
+// Deprecated: shards no longer carry world images; workers replay each
+// shard's shared prefix instead, so the pool stores no image.
+func (p *Pool) Store() *image.Store { return image.NewStore() }
 
 func (p *Pool) logf(format string, args ...any) {
 	if p.opts.Logf != nil {
@@ -187,23 +176,6 @@ func (p *Pool) WaitForWorkers(ctx context.Context, n int) error {
 	return nil
 }
 
-// imager captures branch-point worlds into the pool's store, keyed by
-// content digest, and records each digest in *images so the run can
-// drop them when it ends.
-func (p *Pool) imager(images *[]string) campaign.Imager {
-	return func(sess *replayer.Session) (string, error) {
-		img, err := image.CaptureSession(sess, image.Header{})
-		if err != nil {
-			return "", err
-		}
-		digest, err := p.store.Add(img)
-		if err == nil {
-			*images = append(*images, digest)
-		}
-		return digest, err
-	}
-}
-
 // wakeLocked releases every held lease poll: the queue just gained a
 // shard.
 func (p *Pool) wakeLocked() {
@@ -213,8 +185,8 @@ func (p *Pool) wakeLocked() {
 
 // DistributeCampaign implements jobs.Distributor: plan the trie into
 // shards bounded so each connected worker gets ShardFactor of them,
-// park branch-point images in the store, and feed the shard queue to
-// polling workers until every outcome is merged. ok == false — no
+// and feed the shard queue to polling workers until every outcome is
+// merged. ok == false — no
 // workers, pool busy, the plan refused, or every worker died
 // mid-campaign — hands the campaign back for local execution, which is
 // always equivalent (planning runs no oracle side effects a local
@@ -236,7 +208,7 @@ func (p *Pool) DistributeCampaign(ctx context.Context, exec *campaign.Executor, 
 	p.mu.Unlock()
 
 	maxJobs := (len(plan) + p.opts.ShardFactor*workers - 1) / (p.opts.ShardFactor * workers)
-	sp, ok := exec.PlanShards(ctx, plan, maxJobs, p.imager(&placeholder.images))
+	sp, ok := exec.PlanShards(ctx, plan, maxJobs)
 	if !ok {
 		p.clearRun(placeholder)
 		return nil, false
@@ -249,7 +221,6 @@ func (p *Pool) DistributeCampaign(ctx context.Context, exec *campaign.Executor, 
 	}
 	run := &poolRun{
 		jobs: plan, plan: sp, spec: spec,
-		images:    placeholder.images,
 		leases:    make(map[string]*lease),
 		completed: make([]bool, len(sp.Shards)),
 		remaining: len(sp.Shards),
@@ -343,19 +314,14 @@ func shardSchedules(sjobs []multiuser.ScheduleJob) [][]multiuser.ScheduleJob {
 	return shards
 }
 
-// clearRun frees the run's slot and drops its branch-point images: a
-// worker still holding one of its leases gets 404 for the image and
-// falls back to flat replay, and its completion is deduplicated.
+// clearRun frees the run's slot: a worker still holding one of its
+// leases has its completion deduplicated.
 func (p *Pool) clearRun(run *poolRun) {
 	p.mu.Lock()
 	if p.run == run {
 		p.run = nil
 	}
-	for _, d := range run.images {
-		delete(p.imageOwner, d)
-	}
 	p.mu.Unlock()
-	p.store.Remove(run.images...)
 }
 
 // await blocks until the run completes, reaping dead workers as it
@@ -406,14 +372,6 @@ func (p *Pool) reap(run *poolRun) bool {
 			continue
 		}
 		delete(p.workers, w)
-		// Forget the dead worker's image affinities: re-granting its
-		// parked tails to a survivor is forced failover, not stealing,
-		// and must not skew the stolen-tails counter.
-		for digest, owner := range p.imageOwner {
-			if owner == w {
-				delete(p.imageOwner, digest)
-			}
-		}
 		for id, l := range run.leases {
 			if l.worker != w {
 				continue
@@ -500,11 +458,6 @@ func (p *Pool) grantLocked(worker string) WireLease {
 		}
 	}
 	sh := run.plan.Shards[si]
-	if owner, ok := p.imageOwner[sh.Image]; !ok {
-		p.imageOwner[sh.Image] = worker
-	} else if owner != worker && len(sh.Jobs) == 1 {
-		p.stolenTails++
-	}
 	wl := WireLease{
 		Status:         StatusLease,
 		ID:             l.id,
@@ -513,7 +466,6 @@ func (p *Pool) grantLocked(worker string) WireLease {
 		Replayer:       wireReplayer(run.spec.Replayer),
 		DisablePruning: run.spec.DisablePruning,
 		Parallelism:    run.spec.Parallelism,
-		Image:          sh.Image,
 		Depth:          sh.Depth,
 		TTLMillis:      p.opts.LeaseTTL.Milliseconds(),
 		Token:          fmt.Sprintf("%s/%d", run.token, si),
@@ -545,8 +497,8 @@ func parseToken(tok string) (run string, shard int, ok bool) {
 // credits its shard (the work is valid — the worker was slow, not
 // wrong), while duplicates of an already-merged shard and reports from
 // a campaign long over are acknowledged but not double-counted. The
-// first merge wins either way; re-queued work re-runs from the same
-// image, so any completion is equivalent.
+// first merge wins either way; re-queued work replays the same shard,
+// so any completion is equivalent.
 func (p *Pool) complete(msg CompleteMsg) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -736,29 +688,6 @@ func (p *Pool) holdForGrant(ctx context.Context, worker string) (l WireLease, ok
 	return l, true
 }
 
-func (p *Pool) handleImage(w http.ResponseWriter, r *http.Request) {
-	act, ok := p.inject(w, r, faults.PathImage)
-	if !ok {
-		return
-	}
-	digest := r.PathValue("digest")
-	data, ok := p.store.Bytes(digest)
-	if !ok {
-		http.Error(w, "distrib: no such image", http.StatusNotFound)
-		return
-	}
-	if act.Corrupt {
-		// Corrupt a copy: the store's bytes are shared and must stay
-		// intact for the retry this worker is about to make.
-		data = faults.CorruptBody(append([]byte(nil), data...))
-	}
-	p.mu.Lock()
-	p.imagesShipped++
-	p.mu.Unlock()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
 func (p *Pool) handleComplete(w http.ResponseWriter, r *http.Request) {
 	act, ok := p.inject(w, r, faults.PathComplete)
 	if !ok {
@@ -823,12 +752,6 @@ func (p *Pool) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP warr_distrib_parked_polls Lease polls currently held open waiting for a shard.\n")
 	fmt.Fprintf(w, "# TYPE warr_distrib_parked_polls gauge\n")
 	fmt.Fprintf(w, "warr_distrib_parked_polls %d\n", p.parkedPolls.Load())
-	fmt.Fprintf(w, "# HELP warr_distrib_images_shipped_total Branch-point image downloads served to workers.\n")
-	fmt.Fprintf(w, "# TYPE warr_distrib_images_shipped_total counter\n")
-	fmt.Fprintf(w, "warr_distrib_images_shipped_total %d\n", p.imagesShipped)
-	fmt.Fprintf(w, "# HELP warr_distrib_stolen_tails_total Parked single-job tails leased to a worker other than the image's first lessee.\n")
-	fmt.Fprintf(w, "# TYPE warr_distrib_stolen_tails_total counter\n")
-	fmt.Fprintf(w, "warr_distrib_stolen_tails_total %d\n", p.stolenTails)
 	fmt.Fprintf(w, "# HELP warr_distrib_campaigns_total Campaigns the pool accepted for distribution.\n")
 	fmt.Fprintf(w, "# TYPE warr_distrib_campaigns_total counter\n")
 	fmt.Fprintf(w, "warr_distrib_campaigns_total %d\n", p.campaigns)

@@ -1,13 +1,15 @@
 // Package distrib runs a campaign across worker processes: a
-// coordinator plans the trace trie into shards (internal/campaign),
-// parks each shard's branch-point world as a durable image
-// (internal/image), and hands shards out over localhost HTTP/JSON to
-// workers that restore the image and continue the subtree with the
-// very same scheduler the in-process executor uses. The coordinator
-// side implements jobs.Distributor, so the shared job engine offers it
-// every campaign before falling back to local execution; the worker
-// side is a poll loop any process linking the app registry can run
-// (cmd/warr-worker, or weberr -workers N in-process).
+// coordinator plans the trace trie into shards (internal/campaign) and
+// hands them out over localhost HTTP/JSON to workers. A shard is a
+// set of jobs plus the depth of the prefix they share; the worker
+// replays that prefix in a fresh world from its own app registry and
+// continues the subtree with the very same scheduler the in-process
+// executor uses — the trace is the recipe for the world, so no world
+// state crosses the wire. The coordinator side implements
+// jobs.Distributor, so the shared job engine offers it every campaign
+// before falling back to local execution; the worker side is a poll
+// loop any process linking the app registry can run (cmd/warr-worker,
+// or weberr -workers N in-process).
 //
 // The protocol reuses the internal/jobs event vocabulary: a worker
 // reports its shard's results as jobs.OutcomeEvent lines, the exact
@@ -25,9 +27,11 @@
 package distrib
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"strconv"
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
@@ -73,11 +77,8 @@ type WireLease struct {
 	Replayer       replayer.OptionsImage `json:"replayer"`
 	DisablePruning bool                  `json:"disablePruning,omitempty"`
 	Parallelism    int                   `json:"parallelism,omitempty"`
-	// Image is the content digest of the branch-point image; the worker
-	// fetches the bytes from GET /image/{digest}.
-	Image string `json:"image,omitempty"`
-	// Depth is how many commands of every job the imaged session has
-	// already replayed.
+	// Depth is how many leading commands every job of the shard shares;
+	// the worker replays them once before the subtree branches.
 	Depth int       `json:"depth,omitempty"`
 	Jobs  []WireJob `json:"jobs,omitempty"`
 	// TTLMillis is the lease's heartbeat deadline: the worker must
@@ -94,13 +95,14 @@ type WireLease struct {
 	// The lease then expires through the normal TTL reaping path.
 	Crash bool `json:"crash,omitempty"`
 	// LoadJobs is a load-campaign shard ("load" leases carry these
-	// instead of Image/Jobs): self-describing multi-user schedule jobs
+	// instead of Jobs): self-describing multi-user schedule jobs
 	// the worker executes in fresh shared worlds of its own.
 	LoadJobs []multiuser.ScheduleJob `json:"loadJobs,omitempty"`
 	// Sum is the reply's integrity checksum, as CompleteMsg.Sum: a
 	// grant whose trace was garbled in flight must not execute. The
-	// worker treats a reply failing Verify as a failed poll, and its
-	// next poll forfeits the grant it never received. 0 means unsealed.
+	// worker treats a reply failing verifySealed as a failed poll, and
+	// its next poll forfeits the grant it never received. 0 means
+	// unsealed.
 	Sum uint64 `json:"sum,omitempty"`
 }
 
@@ -112,12 +114,24 @@ func (l *WireLease) Seal() error {
 	return err
 }
 
-// Verify checks the integrity checksum of a received reply. Unsealed
-// replies (Sum 0) pass.
-func (l WireLease) Verify() bool {
-	sum := l.Sum
-	l.Sum = 0
-	return verifySum(l, sum)
+// verifySealed checks a sealed reply against the bytes it arrived as.
+// The sender checksummed its own encoding with Sum zeroed, and Sum is
+// the last field, so cutting `,"sum":N` out of the received bytes
+// restores exactly what was sealed — whatever fields the sender's
+// version had. A worker thus accepts grants from coordinators whose
+// leases carry fields it does not know (an older coordinator's image
+// digest). sum 0 (unsealed) always passes.
+func verifySealed(body []byte, sum uint64) bool {
+	if sum == 0 {
+		return true
+	}
+	body = bytes.TrimSuffix(body, []byte("\n"))
+	tail := `,"sum":` + strconv.FormatUint(sum, 10) + `}`
+	n := len(body) - len(tail)
+	if n < 0 || string(body[n:]) != tail {
+		return false
+	}
+	return fnv1a.Bytes(append(body[:n:n], '}')) == sum
 }
 
 // CompleteMsg reports a finished shard: one OutcomeEvent per shard job,
@@ -232,15 +246,23 @@ func encodeOutcome(i int, out campaign.Outcome) jobs.OutcomeEvent {
 	if len(out.Coverage) > 0 {
 		// Fuzz campaigns: the coverage fingerprint rides the wire hex-
 		// encoded so the coordinator's fuzz loop can merge worker
-		// coverage into its corpus.
+		// coverage into its corpus, and the first failed step rides
+		// along for its prune table. Other campaigns never read the
+		// step, and leaving it off keeps their reports byte-identical
+		// for coordinators that predate the field.
 		ev.Coverage = hex.EncodeToString(out.Coverage)
+		if out.Result != nil {
+			ev.FirstFailed = campaign.FirstFailure(out.Result) + 1
+		}
 	}
 	return ev
 }
 
 // decodeOutcome rebuilds a campaign outcome from its wire event. Step
 // lists do not cross the wire — campaign reports aggregate only
-// played/failed counts and verdicts, which survive exactly. The
+// played/failed counts and verdicts, which survive exactly — except
+// for the first failed step, which comes back as a one-step list so
+// the fuzz loop can record the failed prefix as a local run would. The
 // verdict comes back as an opaque error carrying the observed message,
 // the same text the engine would publish for a local finding.
 func decodeOutcome(ev jobs.OutcomeEvent) campaign.Outcome {
@@ -257,6 +279,9 @@ func decodeOutcome(ev jobs.OutcomeEvent) campaign.Outcome {
 		if ev.Finding {
 			out.Verdict = errors.New(ev.Observed)
 		}
+	}
+	if out.Result != nil && ev.FirstFailed > 0 {
+		out.Result.Steps = []replayer.Step{{Index: ev.FirstFailed - 1, Status: replayer.StepFailed}}
 	}
 	if ev.Coverage != "" {
 		if cov, err := hex.DecodeString(ev.Coverage); err == nil {

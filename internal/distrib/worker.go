@@ -20,7 +20,6 @@ import (
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/errmodel"
 	"github.com/dslab-epfl/warr/internal/fnv1a"
-	"github.com/dslab-epfl/warr/internal/image"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/registry"
@@ -56,42 +55,30 @@ type WorkerOptions struct {
 	// coordinator holds each poll open until a shard is queued or its
 	// hold window ends.
 	PollInterval time.Duration
-	// RequestTimeout bounds each control request — lease polls,
-	// heartbeats, completions (default 5s). Image downloads get four
-	// times this.
+	// RequestTimeout bounds each request — lease polls, heartbeats,
+	// completions (default 5s).
 	RequestTimeout time.Duration
-	// RetryAttempts is how many times a failed image fetch or completion
-	// report is retried (default 6) with capped jittered exponential
-	// backoff from RetryBase (default 25ms) up to RetryCap (default 2s).
+	// RetryAttempts is how many times a failed completion report is
+	// retried (default 6) with capped jittered exponential backoff from
+	// RetryBase (default 25ms) up to RetryCap (default 2s).
 	RetryAttempts int
 	RetryBase     time.Duration
 	RetryCap      time.Duration
-	// EnvFactory overrides how flat-fallback environments are built per
-	// browser mode; the default is the process's full app registry —
-	// the same worlds the engine uses.
+	// EnvFactory overrides how shard environments are built per browser
+	// mode; the default is the process's full app registry — the same
+	// worlds the engine uses.
 	EnvFactory func(mode browser.Mode) campaign.EnvFactory
 	// Logf, when set, receives per-lease notices.
 	Logf func(format string, args ...any)
 }
 
 // Worker is the executing side of a distributed campaign: it polls the
-// coordinator for shard leases, restores each lease's branch-point
-// image into a fresh world, continues the subtree through the standard
-// campaign scheduler, and reports outcomes in the jobs event
-// vocabulary. Image bytes are cached by content digest, so the many
-// shards forked from one branch point download their world once.
+// coordinator for shard leases, replays each lease's shared prefix in a
+// fresh world, continues the subtree through the standard campaign
+// scheduler, and reports outcomes in the jobs event vocabulary.
 type Worker struct {
 	opts WorkerOptions
 	base string
-	// cache holds the decoded images of the current run: cacheRun, the
-	// run prefix of the latest lease token. prevCache holds what the
-	// previous run cached and this one has not reused yet; back-to-back
-	// runs of one campaign capture byte-identical images, so a hit there
-	// moves to cache instead of being fetched again. A new run drops the
-	// leftovers, and an idle reply (no run in flight) drops both.
-	cache     map[string]*image.Image
-	prevCache map[string]*image.Image
-	cacheRun  string
 
 	// retries tallies request retries since the last completion report;
 	// each report carries the tally to the coordinator's
@@ -133,10 +120,9 @@ func NewWorker(opts WorkerOptions) *Worker {
 		}
 	}
 	return &Worker{
-		opts:  opts,
-		base:  strings.TrimSuffix(opts.Coordinator, "/"),
-		cache: make(map[string]*image.Image),
-		rng:   rand.New(rand.NewSource(int64(fnv1a.String(opts.ID)))),
+		opts: opts,
+		base: strings.TrimSuffix(opts.Coordinator, "/"),
+		rng:  rand.New(rand.NewSource(int64(fnv1a.String(opts.ID)))),
 	}
 }
 
@@ -179,11 +165,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		pollDelay = w.opts.PollInterval
 		if l.Status != StatusLease {
 			// The coordinator already held this poll for its hold
-			// window; ask again at once. Idle means no run is in
-			// flight, so no cached image will be leased again soon.
-			if l.Status == StatusIdle {
-				w.forgetImages()
-			}
+			// window; ask again at once.
 			continue
 		}
 		if l.Crash {
@@ -217,13 +199,9 @@ func (w *Worker) jitter(d time.Duration) time.Duration {
 	return time.Duration(w.rng.Int63n(int64(d)/2 + 1))
 }
 
-// errImageGone is a 404 from GET /image/: the coordinator dropped the
-// image with its run, so no retry can bring it back.
-var errImageGone = errors.New("distrib: image no longer held by the coordinator")
-
 // retry runs fn under capped jittered exponential backoff. Every extra
 // attempt counts into the worker's retry tally, which rides the next
-// completion report into warr_retries_total. errImageGone is final.
+// completion report into warr_retries_total.
 func (w *Worker) retry(ctx context.Context, what string, fn func() error) error {
 	var err error
 	backoff := w.opts.RetryBase
@@ -240,8 +218,8 @@ func (w *Worker) retry(ctx context.Context, what string, fn func() error) error 
 			case <-time.After(d):
 			}
 		}
-		if err = fn(); err == nil || errors.Is(err, errImageGone) {
-			return err
+		if err = fn(); err == nil {
+			return nil
 		}
 		if ctx.Err() != nil {
 			return err
@@ -268,22 +246,24 @@ func (w *Worker) lease(ctx context.Context) (*WireLease, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("distrib: lease poll: %s", resp.Status)
 	}
-	var l WireLease
-	if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		return nil, err
 	}
-	if !l.Verify() {
+	var l WireLease
+	if err := json.Unmarshal(body, &l); err != nil {
+		return nil, err
+	}
+	if !verifySealed(body, l.Sum) {
 		return nil, errors.New("distrib: lease reply failed checksum verification")
 	}
 	return &l, nil
 }
 
-// execute runs one leased shard: restore the branch-point image and
-// continue the subtree, falling back to full flat replays in fresh
-// local environments when the image cannot be fetched or restored. A
+// execute runs one leased shard: replay its shared prefix in a fresh
+// world and continue the subtree (campaign.Executor.ExecuteShard). A
 // heartbeat loop keeps the lease alive for the duration.
 func (w *Worker) execute(ctx context.Context, l *WireLease) []jobs.OutcomeEvent {
-	w.startRun(l.Token)
 	hctx, stop := context.WithCancel(ctx)
 	defer stop()
 	go w.heartbeat(hctx, l)
@@ -292,18 +272,7 @@ func (w *Worker) execute(ctx context.Context, l *WireLease) []jobs.OutcomeEvent 
 	for i, wj := range l.Jobs {
 		cjobs[i] = campaign.Job{Trace: wj.Trace, Pacing: wj.Pacing}
 	}
-	exec := w.executor(l)
-	var outs []campaign.Outcome
-	if img, err := w.fetchImage(ctx, l.Image); err != nil {
-		w.logf("distrib: %s: fetching image %s: %v", w.opts.ID, l.Image, err)
-	} else if _, sess, err := image.LoadSession(img, ctx, nil); err != nil {
-		w.logf("distrib: %s: restoring image %s: %v", w.opts.ID, l.Image, err)
-	} else {
-		outs = exec.ExecuteSubtree(ctx, cjobs, sess, l.Depth)
-	}
-	if outs == nil {
-		outs = exec.Execute(ctx, cjobs)
-	}
+	outs := w.executor(l).ExecuteShard(ctx, cjobs, l.Depth)
 	evs := make([]jobs.OutcomeEvent, len(outs))
 	for i, out := range outs {
 		evs[i] = encodeOutcome(i, out)
@@ -313,8 +282,7 @@ func (w *Worker) execute(ctx context.Context, l *WireLease) []jobs.OutcomeEvent 
 
 // executeLoad runs one leased load shard: each schedule job rebuilds
 // its shared world from the process's workload registry and executes
-// deterministically — no image crosses the wire, the schedule codec is
-// the whole recipe. A heartbeat loop keeps the lease alive.
+// deterministically — the schedule codec is the whole recipe. A heartbeat loop keeps the lease alive.
 func (w *Worker) executeLoad(ctx context.Context, l *WireLease) []multiuser.ScheduleResult {
 	hctx, stop := context.WithCancel(ctx)
 	defer stop()
@@ -352,11 +320,7 @@ func (w *Worker) executor(l *WireLease) *campaign.Executor {
 		// Fuzz shards replay under the coordinator's determinism
 		// contract: pruning stays off (the fuzz loop owns the prune
 		// table), the oracle gates like the navigation campaign, and
-		// every replay reports its coverage fingerprint back. One
-		// caveat: durable images do not carry the in-memory event-
-		// dispatch counters, so a restored shard's event-lane coverage
-		// is relative to its suffix — findings are still identical to
-		// local execution, only the corpus-admission split may shift.
+		// every replay reports its coverage fingerprint back.
 		return campaign.New(newEnv, campaign.Options{
 			Parallelism:    l.Parallelism,
 			Replayer:       unwireReplayer(l.Replayer),
@@ -404,76 +368,6 @@ func (w *Worker) heartbeat(ctx context.Context, l *WireLease) {
 			}
 		}()
 	}
-}
-
-// startRun rotates the image cache when a lease token names a new run.
-func (w *Worker) startRun(token string) {
-	run, _, ok := parseToken(token)
-	if !ok || run == w.cacheRun {
-		return
-	}
-	w.prevCache, w.cache = w.cache, make(map[string]*image.Image)
-	w.cacheRun = run
-}
-
-// forgetImages empties the image cache: no run is in flight.
-func (w *Worker) forgetImages() {
-	clear(w.cache)
-	w.prevCache = nil
-}
-
-// fetchImage downloads and validates a branch-point image, caching the
-// decoded form by digest. The whole fetch retries under backoff, and
-// the retry covers digest mismatches too: a transfer corrupted on the
-// wire fails content addressing and the next attempt pulls clean bytes.
-func (w *Worker) fetchImage(ctx context.Context, digest string) (*image.Image, error) {
-	if img, ok := w.cache[digest]; ok {
-		return img, nil
-	}
-	if img, ok := w.prevCache[digest]; ok {
-		delete(w.prevCache, digest)
-		w.cache[digest] = img
-		return img, nil
-	}
-	var img *image.Image
-	err := w.retry(ctx, "fetching image "+digest, func() error {
-		rctx, cancel := context.WithTimeout(ctx, 4*w.opts.RequestTimeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(rctx, http.MethodGet,
-			w.base+"/image/"+url.PathEscape(digest), nil)
-		if err != nil {
-			return err
-		}
-		resp, err := w.opts.Client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			return errImageGone
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("distrib: fetching image %s: %s", digest, resp.Status)
-		}
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		decoded, got, err := image.Decode(data)
-		if err != nil {
-			return err
-		}
-		if got != digest {
-			return fmt.Errorf("distrib: image digest mismatch: got %s, want %s", got, digest)
-		}
-		img = decoded
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.cache[digest] = img
-	return img, nil
 }
 
 // complete reports the shard's outcomes, retrying under backoff: a

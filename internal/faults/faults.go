@@ -6,10 +6,12 @@
 // convergent under any schedule, not just in the absence of faults.
 //
 // A schedule is a ";"-separated list of ops over the four wire paths
-// (lease, image, complete, heartbeat):
+// (lease, image, complete, heartbeat). image is the branch-point image
+// download of older coordinators; it still parses, but current
+// coordinators ship no images, so its ops never fire.
 //
 //	drop:lease/2            fail the 2nd lease request outright
-//	delay:image/50ms        delay every image transfer by 50ms
+//	delay:heartbeat/50ms    delay every heartbeat by 50ms
 //	corrupt:complete/1      flip a byte in the 1st completion transfer
 //	crash:worker1@shard3    kill worker1 when it is granted its 3rd lease
 //

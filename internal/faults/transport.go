@@ -12,8 +12,8 @@ import (
 // that classifies each outgoing request by its distrib wire path and
 // applies the injector's verdict — delay before sending, drop instead
 // of sending, corrupt the transferred body. POST bodies (completions)
-// are corrupted on the way out; GET bodies (image downloads) on the
-// way back — either way the receiver's strict decoding must catch it.
+// are corrupted on the way out; GET bodies (an older coordinator's
+// image downloads) on the way back — either way the receiver's strict decoding must catch it.
 // Requests on paths the classifier does not recognize pass through
 // untouched, as does everything when Injector is nil.
 type Transport struct {

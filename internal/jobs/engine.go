@@ -86,7 +86,7 @@ type DistSpec struct {
 
 // Distributor executes a campaign plan across a worker pool. ok ==
 // false means the plan was not distributed (no workers connected, the
-// world cannot be imaged, a shared spine failed, ...) and the caller
+// pool busy, replay hooks attached, ...) and the caller
 // must execute locally; when ok, outcomes are complete and in job
 // order, with findings identical to what flat local execution would
 // produce.

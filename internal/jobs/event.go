@@ -149,6 +149,11 @@ type OutcomeEvent struct {
 	// shape over the distrib wire so the coordinator can merge worker
 	// coverage deterministically.
 	Coverage string `json:"coverage,omitempty"`
+	// FirstFailed is the index of the replay's first failed step plus
+	// one (0: no failed step, or not reported). Only distrib workers set
+	// it, so the coordinator's fuzz loop can record the failed prefix;
+	// the engine's own outcome lines never carry it.
+	FirstFailed int `json:"firstFailed,omitempty"`
 }
 
 func (OutcomeEvent) EventType() string { return "outcome" }

@@ -27,8 +27,7 @@ import (
 // the App's NewState, replacing whatever NewState seeded. The encoding
 // is the application's own business, but it must be deterministic:
 // identical states must marshal to identical bytes, because image
-// identity (and the distributed executor's image store) is keyed by
-// content digest.
+// identity is keyed by content digest.
 type ImageMarshaler interface {
 	MarshalImage() ([]byte, error)
 	UnmarshalImage(data []byte) error

@@ -40,8 +40,8 @@ type Options struct {
 	// accepted.
 	DeveloperKey *rsa.PrivateKey
 	// Distrib, when set, mounts the distributed-campaign coordinator
-	// under /api/distrib/ (lease polls, image downloads, completions,
-	// heartbeats for warr-worker processes) and appends its worker-pool
+	// under /api/distrib/ (lease polls, completions, heartbeats for
+	// warr-worker processes) and appends its worker-pool
 	// gauges to /metrics. Pass the same pool to the engine as its
 	// Distributor, or campaigns will never be offered to the workers.
 	Distrib *distrib.Pool

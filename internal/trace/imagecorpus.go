@@ -2,8 +2,8 @@ package trace
 
 // Durable-image corpus entries. Alongside the golden trace archives,
 // the corpus pins one committed WARR-IMAGE file: a world captured
-// mid-replay of a corpus archive, exactly the artifact the distributed
-// campaign coordinator ships to warr-worker processes. Verification is
+// mid-replay of a corpus archive, the same artifact a cancelled replay
+// job checkpoints into the journal. Verification is
 // deliberately hermetic — the committed bytes are decoded (exercising
 // the format's checksum and version validation), their content digest
 // is compared against the golden (stable in CI because it hashes the
