@@ -37,36 +37,25 @@ import (
 type App = registry.App
 
 // AppState is one environment's instance of an application: mutable
-// server state, the handler serving it, and Reset semantics restoring
-// the initial state.
+// server state and the handler serving it. Env.Reset rebuilds states
+// with NewState, so a state needs no reset of its own.
 type AppState = registry.AppState
 
-// AppSnapshotter is the optional checkpoint capability of an AppState:
-// states implementing it make their environments forkable (Env.Fork)
-// and let campaigns share trace prefixes instead of re-executing them.
-// Snapshot must return a fully independent deep copy — same stored
-// data, same issued sessions (WebServer.CopySessionsFrom covers the
-// session half). States without it still work everywhere; forking
-// falls back to fresh-environment prefix replay, the flat campaign
-// path.
-type AppSnapshotter = registry.Snapshotter
+// AppDeclarer is the optional declared-state capability of an
+// AppState: Declare returns the state's lock, a pointer to a plain
+// JSON-tagged struct holding every mutable field, and the WebServer
+// whose sessions belong to the state. From that one declaration the
+// registry derives the in-memory fork (Env.Fork, which lets campaigns
+// share trace prefixes instead of re-executing them) and the durable
+// WARR-IMAGE codec (replay checkpoints, the corpus). States without it
+// still work everywhere; forking and imaging fall back to
+// fresh-environment prefix replay, the flat campaign path.
+type AppDeclarer = registry.Declarer
 
-// NotSnapshottableError reports Env.Fork against an application whose
-// state does not implement AppSnapshotter.
-type NotSnapshottableError = registry.NotSnapshottableError
-
-// AppImageMarshaler is the optional durable-image capability of an
-// AppState — the serialization counterpart of AppSnapshotter. States
-// implementing it can be written into WARR-IMAGE world images (replay
-// checkpoints, the corpus). MarshalImage must be deterministic — identical states,
-// identical bytes — because images are identified by content digest;
-// UnmarshalImage restores into a state freshly built by NewState.
-// WebServer.ExportSessions / ImportSessions cover the session half.
-type AppImageMarshaler = registry.ImageMarshaler
-
-// NotImageableError reports an image operation against an application
-// whose state does not implement AppImageMarshaler.
-type NotImageableError = registry.NotImageableError
+// NotDeclaredError reports a fork or image of an application whose
+// state does not implement AppDeclarer, or declares a field the
+// derived copy cannot carry (pointer, interface, func or chan).
+type NotDeclaredError = registry.NotDeclaredError
 
 // AppCoverageSource is the optional coverage capability of an AppState:
 // states implementing it report their semantic state transitions as
@@ -76,12 +65,6 @@ type NotImageableError = registry.NotImageableError
 // States without it still fuzz; candidate dedup just degrades to the
 // trace-digest lane (weberr -list shows which apps implement it).
 type AppCoverageSource = registry.CoverageSource
-
-// WebSessionsImage is a WebServer's serialized session state, as
-// exported by ExportSessions and restored by ImportSessions — the
-// building block AppImageMarshaler implementations use for their
-// session half.
-type WebSessionsImage = webapp.SessionsImage
 
 // AppRegistry maps names to App plugins and scenario factories; the
 // tools resolve applications and workloads through it.

@@ -14,7 +14,6 @@
 package calendar
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -63,8 +62,15 @@ type Event struct {
 type State struct {
 	srv *warr.WebServer
 
-	mu     sync.Mutex
-	events []Event
+	mu   sync.Mutex
+	data stateData
+}
+
+// stateData is the calendar's mutable state, declared once: the
+// registry derives the fork copy, the durable image and the reset from
+// it (warr.AppDeclarer).
+type stateData struct {
+	Events []Event `json:"events"`
 }
 
 // NewState returns an empty calendar server.
@@ -80,49 +86,9 @@ func NewState() *State {
 // Handler implements warr.AppState.
 func (s *State) Handler() warr.WebHandler { return s.srv }
 
-// Snapshot implements warr.AppSnapshotter, making calendar-hosting
-// environments forkable (and its campaigns prefix-shareable): the copy
-// carries the same events and the same issued sessions.
-func (s *State) Snapshot() warr.AppState {
-	dup := NewState()
-	s.mu.Lock()
-	dup.events = append([]Event(nil), s.events...)
-	s.mu.Unlock()
-	dup.srv.CopySessionsFrom(s.srv)
-	return dup
-}
-
-// calendarImage is the serialized form of a State.
-type calendarImage struct {
-	Events   []Event                `json:"events"`
-	Sessions *warr.WebSessionsImage `json:"sessions"`
-}
-
-// MarshalImage implements warr.AppImageMarshaler, making
-// calendar-hosting environments imageable: the bytes carry the same
-// events and issued sessions Snapshot copies, so the app participates
-// in distributed campaigns exactly like the built-in applications.
-func (s *State) MarshalImage() ([]byte, error) {
-	s.mu.Lock()
-	events := append([]Event(nil), s.events...)
-	s.mu.Unlock()
-	return json.Marshal(calendarImage{Events: events, Sessions: s.srv.ExportSessions()})
-}
-
-// UnmarshalImage implements warr.AppImageMarshaler.
-func (s *State) UnmarshalImage(data []byte) error {
-	var img calendarImage
-	if err := json.Unmarshal(data, &img); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.events = img.Events
-	s.mu.Unlock()
-	if img.Sessions != nil {
-		s.srv.ImportSessions(img.Sessions)
-	}
-	return nil
-}
+// Declare implements warr.AppDeclarer, making calendar-hosting
+// environments forkable and imageable like the built-in applications.
+func (s *State) Declare() (*sync.Mutex, any, *warr.WebServer) { return &s.mu, &s.data, s.srv }
 
 // CoverageMarks implements warr.AppCoverageSource: one mark per stored
 // event, derived purely from the current state — so the fuzzing
@@ -131,8 +97,8 @@ func (s *State) UnmarshalImage(data []byte) error {
 func (s *State) CoverageMarks() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	marks := make([]uint64, 0, len(s.events))
-	for _, e := range s.events {
+	marks := make([]uint64, 0, len(s.data.Events))
+	for _, e := range s.data.Events {
 		// FNV-1a over "calendar.event", day, title with NUL separators.
 		h := uint64(14695981039346656037)
 		for _, part := range []string{"calendar.event", e.Day, e.Title} {
@@ -147,19 +113,11 @@ func (s *State) CoverageMarks() []uint64 {
 	return marks
 }
 
-// Reset implements warr.AppState: it empties the agenda.
-func (s *State) Reset() {
-	s.mu.Lock()
-	s.events = nil
-	s.mu.Unlock()
-	s.srv.ResetSessions()
-}
-
 // Events returns a copy of the stored events, in creation order.
 func (s *State) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	return append([]Event(nil), s.data.Events...)
 }
 
 // agenda renders the event list with the entry form hidden; the "New
@@ -167,7 +125,7 @@ func (s *State) Events() []Event {
 // interaction shape page-level recorders miss.
 func (s *State) agenda(req *warr.WebRequest, sess *warr.WebSession) *warr.WebResponse {
 	s.mu.Lock()
-	events := append([]Event(nil), s.events...)
+	events := append([]Event(nil), s.data.Events...)
 	s.mu.Unlock()
 
 	list := `<div class="empty">No events yet.</div>`
@@ -213,7 +171,7 @@ func (s *State) add(req *warr.WebRequest, sess *warr.WebSession) *warr.WebRespon
 		return warr.WebRedirect("/")
 	}
 	s.mu.Lock()
-	s.events = append(s.events, e)
+	s.data.Events = append(s.data.Events, e)
 	s.mu.Unlock()
 	return warr.WebRedirect("/")
 }

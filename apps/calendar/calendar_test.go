@@ -71,20 +71,3 @@ func TestCalendarOnlyEnv(t *testing.T) {
 		t.Fatalf("fresh calendar has %d events", got)
 	}
 }
-
-// TestResetEmptiesAgenda pins the plugin's reset semantics.
-func TestResetEmptiesAgenda(t *testing.T) {
-	sc := calendar.CreateEventScenario()
-	rec, err := warr.RecordScenario(sc, warr.RecordOptions{VerifyLive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := calendar.StateIn(rec.Env)
-	if len(st.Events()) != 1 {
-		t.Fatalf("events = %d, want 1", len(st.Events()))
-	}
-	st.Reset()
-	if len(st.Events()) != 0 {
-		t.Error("Reset left events behind")
-	}
-}

@@ -38,8 +38,16 @@ func (Guestbook) NewState() warr.AppState { return newGuestbookState() }
 type guestbookState struct {
 	srv *warr.WebServer
 
-	mu      sync.Mutex
-	entries []string
+	mu   sync.Mutex
+	data guestbookData
+}
+
+// guestbookData declares every mutable field of the guestbook once.
+// The registry derives the rest from it: Env.Fork deep-copies it (so
+// campaigns share trace prefixes via checkpoints), world images
+// serialize its JSON, and Env.Reset rebuilds it with NewState.
+type guestbookData struct {
+	Entries []string `json:"entries"`
 }
 
 func newGuestbookState() *guestbookState {
@@ -53,36 +61,21 @@ func newGuestbookState() *guestbookState {
 
 func (s *guestbookState) Handler() warr.WebHandler { return s.srv }
 
-// Snapshot implements warr.AppSnapshotter — the ~10 lines that make
-// Guestbook environments forkable, so campaigns share trace prefixes
-// via checkpoints instead of replaying every erroneous trace from
-// command zero. Deep-copy the data, copy the issued sessions, share
-// nothing mutable.
-func (s *guestbookState) Snapshot() warr.AppState {
-	dup := newGuestbookState()
-	s.mu.Lock()
-	dup.entries = append([]string(nil), s.entries...)
-	s.mu.Unlock()
-	dup.srv.CopySessionsFrom(s.srv)
-	return dup
-}
-
-func (s *guestbookState) Reset() {
-	s.mu.Lock()
-	s.entries = nil
-	s.mu.Unlock()
-	s.srv.ResetSessions()
+// Declare implements warr.AppDeclarer: the lock, the declared state,
+// and the server whose sessions belong to it.
+func (s *guestbookState) Declare() (*sync.Mutex, any, *warr.WebServer) {
+	return &s.mu, &s.data, s.srv
 }
 
 func (s *guestbookState) Entries() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]string(nil), s.entries...)
+	return append([]string(nil), s.data.Entries...)
 }
 
 func (s *guestbookState) home(req *warr.WebRequest, sess *warr.WebSession) *warr.WebResponse {
 	s.mu.Lock()
-	entries := append([]string(nil), s.entries...)
+	entries := append([]string(nil), s.data.Entries...)
 	s.mu.Unlock()
 
 	list := `<div class="empty">Be the first to sign!</div>`
@@ -113,7 +106,7 @@ document.getElementById("sign").addEventListener("click", function(e) {
 func (s *guestbookState) sign(req *warr.WebRequest, sess *warr.WebSession) *warr.WebResponse {
 	if msg := req.Form.Get("msg"); msg != "" {
 		s.mu.Lock()
-		s.entries = append(s.entries, msg)
+		s.data.Entries = append(s.data.Entries, msg)
 		s.mu.Unlock()
 	}
 	return warr.WebRedirect("/")

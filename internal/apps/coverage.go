@@ -44,14 +44,14 @@ func countBucket(n int) string {
 func (s *Sites) CoverageMarks() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	marks := make([]uint64, 0, len(s.pages)+1)
-	for name, content := range s.pages {
+	marks := make([]uint64, 0, len(s.data.Pages)+1)
+	for name, content := range s.data.Pages {
 		marks = append(marks, coverMark("sites.page", name, content))
 	}
-	marks = append(marks, coverMark("sites.saves", countBucket(s.saves)))
+	marks = append(marks, coverMark("sites.saves", countBucket(s.data.Saves)))
 	// Note marks only exist once notes do, so worlds that never touch
 	// the shared notes list report exactly the marks they always have.
-	for i, n := range s.notes {
+	for i, n := range s.data.Notes {
 		marks = append(marks, coverMark("sites.note", strconv.Itoa(i), n))
 	}
 	return marks
@@ -61,11 +61,11 @@ func (s *Sites) CoverageMarks() []uint64 {
 func (g *GMail) CoverageMarks() []uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	marks := make([]uint64, 0, len(g.sent)+1)
-	for _, m := range g.sent {
+	marks := make([]uint64, 0, len(g.data.Sent)+1)
+	for _, m := range g.data.Sent {
 		marks = append(marks, coverMark("gmail.sent", m.To, m.Subject, m.Body))
 	}
-	marks = append(marks, coverMark("gmail.count", countBucket(len(g.sent))))
+	marks = append(marks, coverMark("gmail.count", countBucket(len(g.data.Sent))))
 	return marks
 }
 
@@ -73,9 +73,9 @@ func (g *GMail) CoverageMarks() []uint64 {
 func (y *Yahoo) CoverageMarks() []uint64 {
 	y.mu.Lock()
 	defer y.mu.Unlock()
-	marks := []uint64{coverMark("yahoo.logins", countBucket(y.logins))}
-	if y.lastName != "" {
-		marks = append(marks, coverMark("yahoo.presence", y.lastName))
+	marks := []uint64{coverMark("yahoo.logins", countBucket(y.data.Logins))}
+	if y.data.LastName != "" {
+		marks = append(marks, coverMark("yahoo.presence", y.data.LastName))
 	}
 	return marks
 }
@@ -84,12 +84,12 @@ func (y *Yahoo) CoverageMarks() []uint64 {
 func (d *Docs) CoverageMarks() []uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	marks := make([]uint64, 0, len(d.cells))
-	for name, value := range d.cells {
+	marks := make([]uint64, 0, len(d.data.Cells))
+	for name, value := range d.data.Cells {
 		marks = append(marks, coverMark("docs.cell", name, value))
 	}
-	if d.tally > 0 {
-		marks = append(marks, coverMark("docs.tally", countBucket(d.tally)))
+	if d.data.Tally > 0 {
+		marks = append(marks, coverMark("docs.tally", countBucket(d.data.Tally)))
 	}
 	return marks
 }
@@ -100,8 +100,8 @@ func (d *Docs) CoverageMarks() []uint64 {
 func (e *SearchEngine) CoverageMarks() []uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	distinct := make(map[string]struct{}, len(e.queries))
-	for _, q := range e.queries {
+	distinct := make(map[string]struct{}, len(e.data.Queries))
+	for _, q := range e.data.Queries {
 		distinct[q] = struct{}{}
 	}
 	qs := make([]string, 0, len(distinct))
@@ -113,7 +113,7 @@ func (e *SearchEngine) CoverageMarks() []uint64 {
 	for _, q := range qs {
 		marks = append(marks, coverMark("search.query", e.EngineName, q))
 	}
-	marks = append(marks, coverMark("search.count", e.EngineName, countBucket(len(e.queries))))
+	marks = append(marks, coverMark("search.count", e.EngineName, countBucket(len(e.data.Queries))))
 	return marks
 }
 
@@ -123,12 +123,15 @@ func (e *SearchEngine) CoverageMarks() []uint64 {
 // Session ids are minted in request order, so the marks are a pure
 // function of the request history the world has served.
 func sessionMarks(app string, srv *webapp.Server) []uint64 {
-	snaps := srv.SessionSnapshots()
-	marks := make([]uint64, 0, len(snaps))
-	for _, sn := range snaps {
-		parts := make([]string, 0, len(sn.Values)+2)
-		parts = append(parts, app+".session", sn.ID)
-		parts = append(parts, sn.Values...)
+	img := srv.ExportSessions()
+	marks := make([]uint64, 0, len(img.Sessions))
+	for _, sess := range img.Sessions {
+		parts := make([]string, 0, len(sess.Vals)+2)
+		parts = append(parts, app+".session", sess.ID)
+		for k, v := range sess.Vals {
+			parts = append(parts, k+"="+v)
+		}
+		sort.Strings(parts[2:])
 		marks = append(marks, coverMark(parts...))
 	}
 	return marks

@@ -42,9 +42,17 @@ const (
 type Docs struct {
 	srv *webapp.Server
 
-	mu    sync.Mutex
-	cells map[string]string
-	tally int
+	mu   sync.Mutex
+	data docsData
+}
+
+// docsData is the mutable state of Docs, declared once
+// (registry.Declarer).
+type docsData struct {
+	Cells map[string]string `json:"cells"`
+	// Tally is the shared counter the multi-user workloads bump;
+	// omitempty keeps single-user images byte-identical.
+	Tally int `json:"tally,omitempty"`
 }
 
 // docsSeed is the initial sheet: first-column labels only.
@@ -58,7 +66,7 @@ func docsSeed() map[string]string {
 
 // NewDocs returns a spreadsheet with seeded first-column labels.
 func NewDocs() *Docs {
-	d := &Docs{cells: docsSeed()}
+	d := &Docs{data: docsData{Cells: docsSeed()}}
 	srv := webapp.NewServer("docs")
 	srv.Handle("/", d.sheet)
 	srv.Handle("/set", d.set)
@@ -68,49 +76,25 @@ func NewDocs() *Docs {
 	return d
 }
 
-// Server returns the application's HTTP handler.
-func (d *Docs) Server() *webapp.Server { return d.srv }
-
 // Handler implements registry.AppState.
 func (d *Docs) Handler() netsim.Handler { return d.srv }
 
-// Snapshot implements registry.Snapshotter: a deep copy carrying the
-// same cells and issued sessions.
-func (d *Docs) Snapshot() registry.AppState {
-	dup := NewDocs()
-	d.mu.Lock()
-	dup.cells = make(map[string]string, len(d.cells))
-	for k, v := range d.cells {
-		dup.cells[k] = v
-	}
-	dup.tally = d.tally
-	d.mu.Unlock()
-	dup.srv.CopySessionsFrom(d.srv)
-	return dup
-}
-
-// Reset restores the seeded first-column labels of a fresh sheet.
-func (d *Docs) Reset() {
-	d.mu.Lock()
-	d.cells = docsSeed()
-	d.tally = 0
-	d.mu.Unlock()
-	d.srv.ResetSessions()
-}
+// Declare implements registry.Declarer.
+func (d *Docs) Declare() (*sync.Mutex, any, *webapp.Server) { return &d.mu, &d.data, d.srv }
 
 // Cell returns the stored value of the cell named e.g. "r1c2".
 func (d *Docs) Cell(name string) string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.cells[name]
+	return d.data.Cells[name]
 }
 
 // Cells returns a sorted snapshot of all non-empty cells as "name=value".
 func (d *Docs) Cells() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.cells))
-	for k, v := range d.cells {
+	out := make([]string, 0, len(d.data.Cells))
+	for k, v := range d.data.Cells {
 		out = append(out, k+"="+v)
 	}
 	sort.Strings(out)
@@ -121,8 +105,8 @@ func (d *Docs) Cells() []string {
 // control): double-clicking makes it editable, and Enter commits.
 func (d *Docs) sheet(req *netsim.Request, sess *webapp.Session) *netsim.Response {
 	d.mu.Lock()
-	snapshot := make(map[string]string, len(d.cells))
-	for k, v := range d.cells {
+	snapshot := make(map[string]string, len(d.data.Cells))
+	for k, v := range d.data.Cells {
 		snapshot[k] = v
 	}
 	d.mu.Unlock()
@@ -134,7 +118,7 @@ func (d *Docs) sheet(req *netsim.Request, sess *webapp.Session) *netsim.Response
 			name := fmt.Sprintf("r%dc%d", r, c)
 			fmt.Fprintf(&rows,
 				`<td><div class="cell" id="%s" ondblclick="editCell('%s')" onkeydown="cellKey(event, '%s')">%s</div></td>`,
-				name, name, name, htmlEscape(snapshot[name]))
+				name, name, name, webapp.HTMLEscape(snapshot[name]))
 		}
 		rows.WriteString("</tr>")
 	}
@@ -166,7 +150,7 @@ function cellKey(event, id) {
 func (d *Docs) Tally() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.tally
+	return d.data.Tally
 }
 
 // tallyView renders the shared sheet counter with a "+1" control. The
@@ -177,7 +161,7 @@ func (d *Docs) Tally() int {
 // N+1 twice and one increment vanishes (the seeded stale-read bug).
 func (d *Docs) tallyView(req *netsim.Request, sess *webapp.Session) *netsim.Response {
 	d.mu.Lock()
-	n := d.tally
+	n := d.data.Tally
 	d.mu.Unlock()
 
 	body := fmt.Sprintf(`
@@ -202,7 +186,7 @@ func (d *Docs) tallyBump(req *netsim.Request, sess *webapp.Session) *netsim.Resp
 		return netsim.NotFound()
 	}
 	d.mu.Lock()
-	d.tally = v
+	d.data.Tally = v
 	d.mu.Unlock()
 	return webapp.Redirect("/tally")
 }
@@ -214,7 +198,7 @@ func (d *Docs) set(req *netsim.Request, sess *webapp.Session) *netsim.Response {
 		return netsim.NotFound()
 	}
 	d.mu.Lock()
-	d.cells[cell] = req.Form.Get("v")
+	d.data.Cells[cell] = req.Form.Get("v")
 	d.mu.Unlock()
 	return webapp.Redirect("/")
 }

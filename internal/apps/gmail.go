@@ -51,7 +51,15 @@ type GMail struct {
 	srv *webapp.Server
 
 	mu   sync.Mutex
-	sent []Mail
+	data gmailData
+}
+
+// gmailData is the mutable state of GMail, declared once
+// (registry.Declarer). The process-global id counter is deliberately
+// absent: real GMail's minted ids never repeat across any two page
+// loads, so forks, images and resets all leave it running.
+type gmailData struct {
+	Sent []Mail `json:"sent"`
 }
 
 // gmailIDCounter is process-global: like the real GMail's id generator,
@@ -74,49 +82,27 @@ func NewGMail() *GMail {
 	return g
 }
 
-// Server returns the application's HTTP handler.
-func (g *GMail) Server() *webapp.Server { return g.srv }
-
 // Handler implements registry.AppState.
 func (g *GMail) Handler() netsim.Handler { return g.srv }
 
-// Snapshot implements registry.Snapshotter: a deep copy carrying the
-// same sent mail and issued sessions. The global id counter stays
-// shared on purpose — it is process-global precisely because real
-// GMail's minted ids never repeat across any two page loads.
-func (g *GMail) Snapshot() registry.AppState {
-	dup := NewGMail()
-	g.mu.Lock()
-	dup.sent = append([]Mail(nil), g.sent...)
-	g.mu.Unlock()
-	dup.srv.CopySessionsFrom(g.srv)
-	return dup
-}
-
-// Reset drops all sent mail. The global id counter is deliberately not
-// reset — real GMail's generated ids never repeat either (§IV-C).
-func (g *GMail) Reset() {
-	g.mu.Lock()
-	g.sent = nil
-	g.mu.Unlock()
-	g.srv.ResetSessions()
-}
+// Declare implements registry.Declarer.
+func (g *GMail) Declare() (*sync.Mutex, any, *webapp.Server) { return &g.mu, &g.data, g.srv }
 
 // Sent returns a copy of all sent mails.
 func (g *GMail) Sent() []Mail {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]Mail(nil), g.sent...)
+	return append([]Mail(nil), g.data.Sent...)
 }
 
 // LastSent returns the most recently sent mail and whether one exists.
 func (g *GMail) LastSent() (Mail, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.sent) == 0 {
+	if len(g.data.Sent) == 0 {
 		return Mail{}, false
 	}
-	return g.sent[len(g.sent)-1], true
+	return g.data.Sent[len(g.data.Sent)-1], true
 }
 
 // nextID mints a fresh element id — the property that invalidates
@@ -142,7 +128,7 @@ func (g *GMail) inbox(req *netsim.Request, sess *webapp.Session) *netsim.Respons
 	idSend := g.nextID()
 
 	g.mu.Lock()
-	nSent := len(g.sent)
+	nSent := len(g.data.Sent)
 	g.mu.Unlock()
 
 	body := fmt.Sprintf(`
@@ -192,7 +178,7 @@ func (g *GMail) send(req *netsim.Request, sess *webapp.Session) *netsim.Response
 		Body:    req.Form.Get("body"),
 	}
 	g.mu.Lock()
-	g.sent = append(g.sent, m)
+	g.data.Sent = append(g.data.Sent, m)
 	g.mu.Unlock()
 	return webapp.Redirect("/mail")
 }

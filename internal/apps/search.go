@@ -72,8 +72,15 @@ type SearchEngine struct {
 	srv       *webapp.Server
 	corrector Correcting
 
-	mu      sync.Mutex
-	queries []string
+	mu   sync.Mutex
+	data searchData
+}
+
+// searchData is the mutable state of an engine, declared once
+// (registry.Declarer). The corrector is not part of it: it is an
+// immutable, deterministic function of the engine, rebuilt by NewState.
+type searchData struct {
+	Queries []string `json:"queries"`
 }
 
 // queryCorpus is the shared frequent-query corpus the engines' language
@@ -100,30 +107,37 @@ func corpusDictionaries() (full, pruned *spell.Dictionary) {
 	return fullDict, prunedDict
 }
 
+// The correctors are read-only too, and shared the same way: NewState
+// runs on every fork, and the language model must not be rebuilt there.
+var (
+	googleCorrector = sync.OnceValue(func() Correcting {
+		dict, _ := corpusDictionaries()
+		word := spell.NewCorrector("google-words", dict, 2)
+		return spell.NewQueryCorrector("google", queryCorpus, 4, word)
+	})
+	bingCorrector = sync.OnceValue(func() Correcting {
+		dict, _ := corpusDictionaries()
+		return spell.NewCorrector("bing", dict, 1)
+	})
+	yahooCorrector = sync.OnceValue(func() Correcting {
+		_, pruned := corpusDictionaries()
+		return spell.NewCorrector("yahoo", pruned, 2)
+	})
+)
+
 // NewGoogleSearch returns the Google-shaped engine: query-level
 // correction over the full query corpus with a word-level fallback.
-func NewGoogleSearch() *SearchEngine {
-	dict, _ := corpusDictionaries()
-	word := spell.NewCorrector("google-words", dict, 2)
-	return newSearchEngine("Google",
-		spell.NewQueryCorrector("google", queryCorpus, 4, word))
-}
+func NewGoogleSearch() *SearchEngine { return newSearchEngine("Google", googleCorrector()) }
 
 // NewBingSearch returns the Bing-shaped engine: word-level correction
 // limited to edit distance 1.
-func NewBingSearch() *SearchEngine {
-	dict, _ := corpusDictionaries()
-	return newSearchEngine("Bing", spell.NewCorrector("bing", dict, 1))
-}
+func NewBingSearch() *SearchEngine { return newSearchEngine("Bing", bingCorrector()) }
 
 // NewYahooSearch returns the Yahoo-shaped engine: word-level correction
 // to edit distance 2 over a dictionary missing roughly one word in
 // fifteen — the coverage that lands its detection rate in the paper's
 // 84.4% band (the calibration is recorded in EXPERIMENTS.md).
-func NewYahooSearch() *SearchEngine {
-	_, pruned := corpusDictionaries()
-	return newSearchEngine("Yahoo!", spell.NewCorrector("yahoo", pruned, 2))
-}
+func NewYahooSearch() *SearchEngine { return newSearchEngine("Yahoo!", yahooCorrector()) }
 
 func newSearchEngine(name string, c Correcting) *SearchEngine {
 	e := &SearchEngine{EngineName: name, corrector: c}
@@ -134,38 +148,17 @@ func newSearchEngine(name string, c Correcting) *SearchEngine {
 	return e
 }
 
-// Server returns the engine's HTTP handler.
-func (e *SearchEngine) Server() *webapp.Server { return e.srv }
-
 // Handler implements registry.AppState.
 func (e *SearchEngine) Handler() netsim.Handler { return e.srv }
 
-// Snapshot implements registry.Snapshotter: a deep copy carrying the
-// same served queries and sessions. The corrector is immutable and
-// shared, exactly as it already is between environments.
-func (e *SearchEngine) Snapshot() registry.AppState {
-	dup := newSearchEngine(e.EngineName, e.corrector)
-	e.mu.Lock()
-	dup.queries = append([]string(nil), e.queries...)
-	e.mu.Unlock()
-	dup.srv.CopySessionsFrom(e.srv)
-	return dup
-}
-
-// Reset forgets the served queries; the immutable language model is
-// shared process-wide and needs no resetting.
-func (e *SearchEngine) Reset() {
-	e.mu.Lock()
-	e.queries = nil
-	e.mu.Unlock()
-	e.srv.ResetSessions()
-}
+// Declare implements registry.Declarer.
+func (e *SearchEngine) Declare() (*sync.Mutex, any, *webapp.Server) { return &e.mu, &e.data, e.srv }
 
 // Queries returns the queries the engine has served, in order.
 func (e *SearchEngine) Queries() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]string(nil), e.queries...)
+	return append([]string(nil), e.data.Queries...)
 }
 
 // Correct exposes the engine's corrector (used by fast-path harnesses
@@ -180,7 +173,7 @@ func (e *SearchEngine) home(req *netsim.Request, sess *webapp.Session) *netsim.R
 <form id="sf" action="/search" method="GET">
 <input id="q" name="q">
 <input type="submit" name="btn" value="Search">
-</form>`, htmlEscape(e.EngineName))
+</form>`, webapp.HTMLEscape(e.EngineName))
 	return netsim.OK(webapp.Page(e.EngineName, body, ""))
 }
 
@@ -190,7 +183,7 @@ func (e *SearchEngine) home(req *netsim.Request, sess *webapp.Session) *netsim.R
 func (e *SearchEngine) search(req *netsim.Request, sess *webapp.Session) *netsim.Response {
 	q := req.Form.Get("q")
 	e.mu.Lock()
-	e.queries = append(e.queries, q)
+	e.data.Queries = append(e.data.Queries, q)
 	e.mu.Unlock()
 
 	corrected, changed := e.corrector.Correct(q)
@@ -198,7 +191,7 @@ func (e *SearchEngine) search(req *netsim.Request, sess *webapp.Session) *netsim
 	banner := ""
 	if changed {
 		effective = corrected
-		banner = fmt.Sprintf(`<div id="corrected">%s</div>`, htmlEscape(corrected))
+		banner = fmt.Sprintf(`<div id="corrected">%s</div>`, webapp.HTMLEscape(corrected))
 	}
 
 	body := fmt.Sprintf(`
@@ -206,8 +199,8 @@ func (e *SearchEngine) search(req *netsim.Request, sess *webapp.Session) *netsim
 <div id="query">%s</div>
 %s
 <div id="results">About %d results for %s</div>`,
-		htmlEscape(e.EngineName), htmlEscape(q), banner,
-		resultCount(effective), htmlEscape(effective))
+		webapp.HTMLEscape(e.EngineName), webapp.HTMLEscape(q), banner,
+		resultCount(effective), webapp.HTMLEscape(effective))
 	return netsim.OK(webapp.Page(e.EngineName+" Search", body, ""))
 }
 

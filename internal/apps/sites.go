@@ -39,15 +39,23 @@ func init() { registry.MustRegisterApp(sitesApp{}) }
 type Sites struct {
 	srv *webapp.Server
 
-	mu    sync.Mutex
-	pages map[string]string
-	saves int
-	notes []string
+	mu   sync.Mutex
+	data sitesData
+}
+
+// sitesData is the mutable state of Sites, declared once: fork, image
+// and reset derive from it (registry.Declarer).
+type sitesData struct {
+	Pages map[string]string `json:"pages"`
+	Saves int               `json:"saves"`
+	// Notes is the shared list the multi-user workloads edit; omitempty
+	// keeps single-user images, which never touch it, byte-identical.
+	Notes []string `json:"notes,omitempty"`
 }
 
 // NewSites returns a Sites application with one empty page, "home".
 func NewSites() *Sites {
-	s := &Sites{pages: map[string]string{"home": ""}}
+	s := &Sites{data: sitesData{Pages: map[string]string{"home": ""}}}
 	srv := webapp.NewServer("sites")
 	srv.Handle("/", s.view)
 	srv.Handle("/content", s.content)
@@ -58,57 +66,31 @@ func NewSites() *Sites {
 	return s
 }
 
-// Server returns the application's HTTP handler.
-func (s *Sites) Server() *webapp.Server { return s.srv }
-
 // Handler implements registry.AppState.
 func (s *Sites) Handler() netsim.Handler { return s.srv }
 
-// Snapshot implements registry.Snapshotter: a deep copy carrying the
-// same pages, save count, and issued sessions.
-func (s *Sites) Snapshot() registry.AppState {
-	dup := NewSites()
-	s.mu.Lock()
-	dup.pages = make(map[string]string, len(s.pages))
-	for k, v := range s.pages {
-		dup.pages[k] = v
-	}
-	dup.saves = s.saves
-	dup.notes = append([]string(nil), s.notes...)
-	s.mu.Unlock()
-	dup.srv.CopySessionsFrom(s.srv)
-	return dup
-}
-
-// Reset restores the one empty "home" page of a fresh instance.
-func (s *Sites) Reset() {
-	s.mu.Lock()
-	s.pages = map[string]string{"home": ""}
-	s.saves = 0
-	s.notes = nil
-	s.mu.Unlock()
-	s.srv.ResetSessions()
-}
+// Declare implements registry.Declarer.
+func (s *Sites) Declare() (*sync.Mutex, any, *webapp.Server) { return &s.mu, &s.data, s.srv }
 
 // PageContent returns the stored content of the named page.
 func (s *Sites) PageContent(name string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pages[name]
+	return s.data.Pages[name]
 }
 
 // SetPageContent seeds a page (test setup).
 func (s *Sites) SetPageContent(name, content string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pages[name] = content
+	s.data.Pages[name] = content
 }
 
 // Saves returns how many successful saves the server has handled.
 func (s *Sites) Saves() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.saves
+	return s.data.Saves
 }
 
 // view renders the page with its edit chrome. The editor table exists in
@@ -118,7 +100,7 @@ func (s *Sites) Saves() int {
 func (s *Sites) view(req *netsim.Request, sess *webapp.Session) *netsim.Response {
 	page := pageName(req)
 	s.mu.Lock()
-	content := s.pages[page]
+	content := s.data.Pages[page]
 	s.mu.Unlock()
 
 	display := content
@@ -132,7 +114,7 @@ func (s *Sites) view(req *netsim.Request, sess *webapp.Session) *netsim.Response
 <table id="editor" style="display:none"><tbody><tr>
 <td><div id="content"></div></td>
 <td><div>Save</div></td>
-</tr></tbody></table>`, htmlEscape(display))
+</tr></tbody></table>`, webapp.HTMLEscape(display))
 
 	script := fmt.Sprintf(`
 var editor;
@@ -175,7 +157,7 @@ func (s *Sites) content(req *netsim.Request, sess *webapp.Session) *netsim.Respo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &netsim.Response{Status: 200, ContentType: "text/plain",
-		Header: map[string]string{}, Body: s.pages[page]}
+		Header: map[string]string{}, Body: s.data.Pages[page]}
 }
 
 // save stores the edited content and redirects back to the view.
@@ -183,8 +165,8 @@ func (s *Sites) save(req *netsim.Request, sess *webapp.Session) *netsim.Response
 	page := pageName(req)
 	content := req.Form.Get("content")
 	s.mu.Lock()
-	s.pages[page] = content
-	s.saves++
+	s.data.Pages[page] = content
+	s.data.Saves++
 	s.mu.Unlock()
 	return webapp.Redirect("/?page=" + page)
 }
@@ -193,7 +175,7 @@ func (s *Sites) save(req *netsim.Request, sess *webapp.Session) *netsim.Response
 func (s *Sites) Notes() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]string(nil), s.notes...)
+	return append([]string(nil), s.data.Notes...)
 }
 
 // notesView renders the shared notes list of the site. The "Add note"
@@ -207,7 +189,7 @@ func (s *Sites) Notes() []string {
 func (s *Sites) notesView(req *netsim.Request, sess *webapp.Session) *netsim.Response {
 	me := req.Form.Get("me")
 	s.mu.Lock()
-	notes := append([]string(nil), s.notes...)
+	notes := append([]string(nil), s.data.Notes...)
 	s.mu.Unlock()
 
 	var list strings.Builder
@@ -215,7 +197,7 @@ func (s *Sites) notesView(req *netsim.Request, sess *webapp.Session) *netsim.Res
 		list.WriteString(`<div class="note">No notes yet.</div>`)
 	}
 	for _, n := range notes {
-		fmt.Fprintf(&list, `<div class="note">%s</div>`, htmlEscape(n))
+		fmt.Fprintf(&list, `<div class="note">%s</div>`, webapp.HTMLEscape(n))
 	}
 
 	body := fmt.Sprintf(`
@@ -248,8 +230,8 @@ func (s *Sites) notesSave(req *netsim.Request, sess *webapp.Session) *netsim.Res
 		notes = append(notes, me)
 	}
 	s.mu.Lock()
-	s.notes = notes
-	s.saves++
+	s.data.Notes = notes
+	s.data.Saves++
 	s.mu.Unlock()
 	return webapp.Redirect("/notes?me=" + url.QueryEscape(req.Form.Get("me")))
 }

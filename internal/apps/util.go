@@ -1,13 +1,6 @@
 package apps
 
-import (
-	"strings"
-
-	"github.com/dslab-epfl/warr/internal/webapp"
-)
-
-// htmlEscape escapes text for safe inclusion in HTML content.
-func htmlEscape(s string) string { return webapp.HTMLEscape(s) }
+import "strings"
 
 // replaceOnce replaces the first occurrence of old with new and panics if
 // old is absent — the templates in this package are static, so a miss is a

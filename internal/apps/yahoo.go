@@ -31,9 +31,17 @@ func init() { registry.MustRegisterApp(yahooApp{}) }
 type Yahoo struct {
 	srv *webapp.Server
 
-	mu       sync.Mutex
-	logins   int
-	lastName string
+	mu   sync.Mutex
+	data yahooData
+}
+
+// yahooData is the mutable state of the portal, declared once
+// (registry.Declarer).
+type yahooData struct {
+	Logins int `json:"logins"`
+	// LastName is the last-arrival slot multi-user workloads race on;
+	// omitempty keeps single-user images byte-identical.
+	LastName string `json:"lastName,omitempty"`
 }
 
 // NewYahoo returns a fresh portal.
@@ -48,38 +56,17 @@ func NewYahoo() *Yahoo {
 	return y
 }
 
-// Server returns the application's HTTP handler.
-func (y *Yahoo) Server() *webapp.Server { return y.srv }
-
 // Handler implements registry.AppState.
 func (y *Yahoo) Handler() netsim.Handler { return y.srv }
 
-// Snapshot implements registry.Snapshotter: a deep copy carrying the
-// same login count and signed-in sessions.
-func (y *Yahoo) Snapshot() registry.AppState {
-	dup := NewYahoo()
-	y.mu.Lock()
-	dup.logins = y.logins
-	dup.lastName = y.lastName
-	y.mu.Unlock()
-	dup.srv.CopySessionsFrom(y.srv)
-	return dup
-}
-
-// Reset signs every user out and forgets the login count.
-func (y *Yahoo) Reset() {
-	y.mu.Lock()
-	y.logins = 0
-	y.lastName = ""
-	y.mu.Unlock()
-	y.srv.ResetSessions()
-}
+// Declare implements registry.Declarer.
+func (y *Yahoo) Declare() (*sync.Mutex, any, *webapp.Server) { return &y.mu, &y.data, y.srv }
 
 // Logins returns how many successful sign-ins the portal has handled.
 func (y *Yahoo) Logins() int {
 	y.mu.Lock()
 	defer y.mu.Unlock()
-	return y.logins
+	return y.data.Logins
 }
 
 func (y *Yahoo) home(req *netsim.Request, sess *webapp.Session) *netsim.Response {
@@ -87,7 +74,7 @@ func (y *Yahoo) home(req *netsim.Request, sess *webapp.Session) *netsim.Response
 
 	var account string
 	if user != "" {
-		account = fmt.Sprintf(`<div id="welcome">Welcome, %s</div>`, htmlEscape(user))
+		account = fmt.Sprintf(`<div id="welcome">Welcome, %s</div>`, webapp.HTMLEscape(user))
 	} else {
 		errMsg := ""
 		if req.Form.Get("err") != "" {
@@ -118,7 +105,7 @@ func (y *Yahoo) home(req *netsim.Request, sess *webapp.Session) *netsim.Response
 func (y *Yahoo) LastPresence() string {
 	y.mu.Lock()
 	defer y.mu.Unlock()
-	return y.lastName
+	return y.data.LastName
 }
 
 // presenceHello announces a user. The name is stored in the session —
@@ -129,7 +116,7 @@ func (y *Yahoo) presenceHello(req *netsim.Request, sess *webapp.Session) *netsim
 	name := req.Form.Get("name")
 	sess.Set("pname", name)
 	y.mu.Lock()
-	y.lastName = name
+	y.data.LastName = name
 	y.mu.Unlock()
 	return webapp.Redirect("/presence")
 }
@@ -141,12 +128,12 @@ func (y *Yahoo) presenceHello(req *netsim.Request, sess *webapp.Session) *netsim
 // another user said hello in between.
 func (y *Yahoo) presence(req *netsim.Request, sess *webapp.Session) *netsim.Response {
 	y.mu.Lock()
-	name := y.lastName
+	name := y.data.LastName
 	y.mu.Unlock()
 
 	body := fmt.Sprintf(`
 <div id="masthead">Yahoo!</div>
-<div id="who">Hello, %s</div>`, htmlEscape(name))
+<div id="who">Hello, %s</div>`, webapp.HTMLEscape(name))
 
 	return netsim.OK(webapp.Page("Yahoo! Presence", body, ""))
 }
@@ -160,7 +147,7 @@ func (y *Yahoo) login(req *netsim.Request, sess *webapp.Session) *netsim.Respons
 	}
 	sess.Set("user", user)
 	y.mu.Lock()
-	y.logins++
+	y.data.Logins++
 	y.mu.Unlock()
 	return webapp.Redirect("/")
 }

@@ -30,9 +30,9 @@ import (
 //
 // When forking is unavailable — an EnvFactory that hands out browsers
 // with no world attached, or an application state without a
-// Snapshotter — each divergent subtree falls back to the classic flat
-// path: a fresh environment and a full replay per job (the documented
-// Reset+replay fallback of the Snapshotter contract).
+// registry.Declarer — each divergent subtree falls back to the classic
+// flat path: a fresh environment and a full replay per job (the
+// documented fallback of the declared-state contract).
 type sharedRun struct {
 	e        *Executor
 	ctx      context.Context

@@ -149,6 +149,24 @@ func TestGenerateRoundTripsAndReproduces(t *testing.T) {
 			t.Fatalf("seed %d: round trip changed %q -> %q", seed, s, parsed.String())
 		}
 	}
+	// Generated ops land only on paths current coordinators serve: an
+	// op on the retired image path would never fire.
+	for seed := int64(0); seed < 64; seed++ {
+		for _, op := range Generate(seed, GenOptions{Workers: workers}) {
+			var p Path
+			switch op := op.(type) {
+			case Drop:
+				p = op.Path
+			case Delay:
+				p = op.Path
+			case Corrupt:
+				p = op.Path
+			}
+			if p == PathImage {
+				t.Fatalf("seed %d generated %s on the retired image path", seed, op)
+			}
+		}
+	}
 	// Without workers, no crash ops appear (a client-side transport
 	// cannot observe lease grants).
 	for seed := int64(0); seed < 64; seed++ {

@@ -18,8 +18,13 @@ type GenOptions struct {
 	Ops int
 }
 
+// livePaths are the wire paths current coordinators serve. PathImage
+// still parses, but nothing requests an image any more, so a generated
+// op on it would never fire.
+var livePaths = []Path{PathLease, PathComplete, PathHeartbeat}
+
 // Generate derives a deterministic fault schedule from a seed: a mix of
-// drops, delays, and corruptions over the wire paths, plus worker
+// drops, delays, and corruptions over the live wire paths, plus worker
 // crashes when opts.Workers is non-empty. The result always satisfies
 // the codec — Parse(Generate(seed, o).String()) round-trips — and the
 // same seed always yields the same schedule, so a failing corpus entry
@@ -40,7 +45,6 @@ func Generate(seed int64, opts GenOptions) Schedule {
 	if nops > MaxOps {
 		nops = MaxOps
 	}
-	paths := Paths()
 	kinds := 3
 	if len(opts.Workers) > 0 {
 		kinds = 4
@@ -49,7 +53,7 @@ func Generate(seed int64, opts GenOptions) Schedule {
 	// 1 + rng.Intn(nops) ops: never empty — the empty schedule is the
 	// baseline every other corpus entry is compared against.
 	for i, n := 0, 1+rng.Intn(nops); i < n; i++ {
-		p := paths[rng.Intn(len(paths))]
+		p := livePaths[rng.Intn(len(livePaths))]
 		switch rng.Intn(kinds) {
 		case 0:
 			sched = append(sched, Drop{Path: p, N: 1 + rng.Intn(4)})

@@ -158,9 +158,9 @@ type Image struct {
 // registry.Env.EncodeImage, the browser through browser.EncodeImage,
 // and — when sess is non-nil — the replay session named by the browser
 // image's tab/frame numbering. The world must be imageable: every
-// hosted application implements ImageMarshaler and the browser holds no
-// state outside the image vocabulary (fails with browser.ErrNotImageable
-// wrapped otherwise).
+// hosted application implements registry.Declarer and the browser
+// holds no state outside the image vocabulary (fails with
+// browser.ErrNotImageable wrapped otherwise).
 func Capture(env *registry.Env, sess *replayer.Session, h Header) (*Image, error) {
 	ei, err := env.EncodeImage()
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/dslab-epfl/warr/internal/apps"
@@ -17,6 +18,7 @@ import (
 	"github.com/dslab-epfl/warr/internal/netsim"
 	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
+	"github.com/dslab-epfl/warr/internal/webapp"
 )
 
 // record runs a scenario in a fresh user-mode environment with the
@@ -398,20 +400,26 @@ func TestImageHeaderRoundTrip(t *testing.T) {
 // plugin the coordinator that captured the image does not.
 type plusApp struct{}
 
-func (plusApp) Name() string                { return "Plus" }
-func (plusApp) Host() string                { return "plus.test" }
-func (plusApp) StartURL() string            { return "http://plus.test/" }
-func (plusApp) NewState() registry.AppState { return &plusState{} }
-
-type plusState struct{}
-
-func (*plusState) Handler() netsim.Handler {
-	return netsim.HandlerFunc(func(*netsim.Request) *netsim.Response {
+func (plusApp) Name() string     { return "Plus" }
+func (plusApp) Host() string     { return "plus.test" }
+func (plusApp) StartURL() string { return "http://plus.test/" }
+func (plusApp) NewState() registry.AppState {
+	s := &plusState{srv: webapp.NewServer("plus")}
+	s.srv.Handle("/", func(*netsim.Request, *webapp.Session) *netsim.Response {
 		return netsim.OK("<html><head><title>Plus</title></head><body></body></html>")
 	})
+	return s
 }
 
-func (*plusState) Reset() {}
+type plusState struct {
+	srv  *webapp.Server
+	mu   sync.Mutex
+	data struct{}
+}
+
+func (s *plusState) Handler() netsim.Handler { return s.srv }
+
+func (s *plusState) Declare() (*sync.Mutex, any, *webapp.Server) { return &s.mu, &s.data, s.srv }
 
 // TestImageRestoreAcrossRegistries pins the closed-world restore rule:
 // the image decides what the restored environment hosts. A restoring

@@ -49,7 +49,7 @@ func (e *Engine) runReplay(job *Job) error {
 				}
 				return e.driveSession(job, resumed)
 			}
-			// The world cannot fork (plugin state without a Snapshotter,
+			// The world cannot fork (plugin state without a Declarer,
 			// say): fall through to a fresh full replay — resumption must
 			// never drop a job just because the cheap path is closed.
 		}

@@ -11,8 +11,8 @@ import (
 // but each trace usually touches one, and building seven unused server
 // states per checkpoint dominated the fork cost. Instead, each hosted
 // application lives in a stateCell; a fork's cell starts lazy, pointing
-// at its parent's cell, and materializes — takes the Snapshot — on the
-// first access from either side:
+// at its parent's cell, and materializes — takes the derived copy
+// (declare.go) — on the first access from either side:
 //
 //   - the fork's first request to (or State() lookup of) the app pulls
 //     the snapshot on demand;
@@ -21,7 +21,7 @@ import (
 //     captures the app exactly as it stood at fork time.
 //
 // An application no side ever touches again never materializes at all.
-// The remaining contract (documented on Snapshotter) is the one every
+// The remaining contract (documented on Declarer) is the one every
 // request-driven application already satisfies: between Fork and the
 // next access through the environment, the state is only reached via
 // its Handler or Env.State — not through an AppState pointer retained
@@ -60,8 +60,12 @@ func (c *stateCell) materialize() AppState {
 	srcSt := src.touch()
 	c.mu.Lock()
 	if c.st == nil {
-		c.st = srcSt.(Snapshotter).Snapshot()
-		c.src = nil
+		st, err := forkState(c.app, srcSt)
+		if err != nil {
+			c.mu.Unlock()
+			panic(err) // unreachable: Env.Fork checked the declaration
+		}
+		c.st, c.src = st, nil
 	}
 	st := c.st
 	c.mu.Unlock()
@@ -96,17 +100,27 @@ func (c *stateCell) dependOn(src *stateCell) {
 	src.mu.Unlock()
 }
 
-// snapshottable reports whether the cell's (possibly still lazy) state
-// implements Snapshotter, without materializing anything.
-func (c *stateCell) snapshottable() bool {
+// forkable checks, without materializing anything, that the cell's
+// (possibly still lazy) state declares what a fork copies.
+func (c *stateCell) forkable() error {
 	c.mu.Lock()
 	st, src := c.st, c.src
 	c.mu.Unlock()
-	if st != nil {
-		_, ok := st.(Snapshotter)
-		return ok
+	if st == nil {
+		return src.forkable()
 	}
-	return src.snapshottable()
+	_, _, _, err := declaration(c.app.Name(), st)
+	return err
+}
+
+// reset replaces the cell's state with a fresh NewState, after settling
+// the pending forks that still need the current one.
+func (c *stateCell) reset() {
+	c.touch()
+	st := c.app.NewState()
+	c.mu.Lock()
+	c.st = st
+	c.mu.Unlock()
 }
 
 // appPort is the netsim.Handler an Env registers per hosted

@@ -62,17 +62,7 @@ func WithLatency(d time.Duration) EnvOption {
 // registered. It fails with a typed error when two selected
 // applications collide on name, host, or start URL.
 func NewEnv(mode browser.Mode, opts ...EnvOption) (*Env, error) {
-	cfg := envConfig{latency: DefaultAJAXLatency}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var selected []App
-	if cfg.registry != nil {
-		selected = cfg.registry.Apps()
-	} else if len(cfg.apps) == 0 {
-		selected = Default.Apps()
-	}
-	selected = append(selected, cfg.apps...)
+	cfg, selected := selectApps(opts)
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("registry: NewEnv with no applications (empty registry and no WithApps)")
 	}
@@ -103,15 +93,9 @@ func NewEnv(mode browser.Mode, opts ...EnvOption) (*Env, error) {
 		if st == nil {
 			return nil, fmt.Errorf("registry: app %q NewState returned nil", name)
 		}
-		cell := &stateCell{app: a, st: st}
-		e.apps = append(e.apps, a)
-		e.cells[name] = cell
+		e.host(a, &stateCell{app: a, st: st})
 		hosts[host] = name
 		urls[url] = name
-		// Requests route through the cell (cow.go) so that, once this
-		// environment has forks, their pending snapshots settle before
-		// a request can mutate the state.
-		network.Register(host, &appPort{cell: cell})
 	}
 
 	e.Browser = browser.New(clock, network, mode)
@@ -119,6 +103,32 @@ func NewEnv(mode browser.Mode, opts ...EnvOption) (*Env, error) {
 	// the whole Env, server state included.
 	e.Browser.SetWorld(e)
 	return e, nil
+}
+
+// selectApps applies the options. The selected applications are the
+// WithRegistry registry's (the Default registry's when no option names
+// any) followed by the WithApps ones.
+func selectApps(opts []EnvOption) (envConfig, []App) {
+	cfg := envConfig{latency: DefaultAJAXLatency}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	var selected []App
+	if cfg.registry != nil {
+		selected = cfg.registry.Apps()
+	} else if len(cfg.apps) == 0 {
+		selected = Default.Apps()
+	}
+	return cfg, append(selected, cfg.apps...)
+}
+
+// host adds an application to the environment. Its requests route
+// through the cell (cow.go) so that, once the environment has forks,
+// their pending snapshots settle before a request can mutate the state.
+func (e *Env) host(a App, cell *stateCell) {
+	e.apps = append(e.apps, a)
+	e.cells[a.Name()] = cell
+	e.Network.Register(a.Host(), &appPort{cell: cell})
 }
 
 // MustNewEnv is NewEnv panicking on error — the right call when the
@@ -167,27 +177,27 @@ func (e *Env) MustState(appName string) AppState {
 	return st
 }
 
-// Reset restores every hosted application to its initial server state.
-// The clock, network, and browser are untouched: Reset models the
-// server side starting over, not the world rebooting.
+// Reset restores every hosted application to its initial server state
+// by rebuilding each with its App's NewState, so a reset world is
+// indistinguishable from a fresh one — same data, no sessions, and the
+// same sid counter. States handed out earlier are replaced, not
+// mutated: re-fetch them with State. The clock, network, and browser
+// are untouched: Reset models the server side starting over, not the
+// world rebooting.
 func (e *Env) Reset() {
 	for _, cell := range e.cells {
-		cell.touch().Reset()
+		cell.reset()
 	}
 }
 
 // Fork deep-copies the whole environment at this instant: every hosted
-// application's state is snapshotted through its Snapshotter, the
-// network and clock are recreated (clock at the same virtual instant),
-// and the browser — cookies, tabs, DOM, script state, pending timers
-// and AJAX — is cloned onto them. The fork and the original evolve
-// independently from here.
-//
-// Fork fails with *NotSnapshottableError when a hosted application's
-// state does not implement Snapshotter. The documented fallback is the
-// one flat campaign execution always uses: build a fresh environment
-// (or Reset this one) and replay the trace prefix from command zero —
-// behaviourally identical, minus the saved prefix execution.
+// application's declared state is copied (Declarer), the network and
+// clock are recreated (clock at the same virtual instant), and the
+// browser — cookies, tabs, DOM, script state, pending timers and AJAX —
+// is cloned onto them. The fork and the original evolve independently
+// from here. Fork fails with *NotDeclaredError when a hosted
+// application's state does not implement Declarer; callers fall back to
+// replaying the trace prefix in a fresh environment.
 func (e *Env) Fork() (*Env, error) {
 	ne, _, err := e.fork()
 	return ne, err
@@ -211,22 +221,19 @@ func (e *Env) fork() (*Env, *browser.Fork, error) {
 	ne := &Env{
 		Clock:   clock,
 		Network: network,
-		apps:    append([]App(nil), e.apps...),
 		cells:   make(map[string]*stateCell, len(e.cells)),
 	}
 	for _, a := range e.apps {
-		name := a.Name()
-		parent := e.cells[name]
-		if !parent.snapshottable() {
-			return nil, nil, &NotSnapshottableError{App: name}
+		parent := e.cells[a.Name()]
+		if err := parent.forkable(); err != nil {
+			return nil, nil, err
 		}
 		// Copy-on-write: the snapshot is deferred until either world
 		// touches the application again (cow.go). Applications the
 		// campaign never exercises are never copied at all.
 		cell := &stateCell{app: a}
 		cell.dependOn(parent)
-		ne.cells[name] = cell
-		network.Register(a.Host(), &appPort{cell: cell})
+		ne.host(a, cell)
 	}
 
 	fk, err := e.Browser.CloneOnto(clock, network)

@@ -13,33 +13,9 @@ import (
 // Durable environment images. Fork copies a world within one process;
 // an image is the same world as bytes — clock instant, network latency,
 // every hosted application's server state, and (decoded separately by
-// internal/browser) the whole browser stack. ImageMarshaler is the
-// serialization capability an AppState opts into, the durable
-// counterpart of Snapshotter: Snapshot deep-copies in memory, Marshal
-// round-trips through bytes, and both must land on a state the other
-// world cannot observe.
-
-// ImageMarshaler is the optional durable-image capability of an
-// AppState. MarshalImage serializes the state's mutable content — the
-// same content Snapshot would copy; for webapp-based servers that
-// includes the issued sessions (webapp.Server.ExportSessions).
-// UnmarshalImage restores that content into a state freshly built by
-// the App's NewState, replacing whatever NewState seeded. The encoding
-// is the application's own business, but it must be deterministic:
-// identical states must marshal to identical bytes, because image
-// identity is keyed by content digest.
-type ImageMarshaler interface {
-	MarshalImage() ([]byte, error)
-	UnmarshalImage(data []byte) error
-}
-
-// NotImageableError reports an image operation against an application
-// whose state does not implement ImageMarshaler.
-type NotImageableError struct{ App string }
-
-func (e *NotImageableError) Error() string {
-	return fmt.Sprintf("registry: app %q state does not implement ImageMarshaler; image unavailable (replay the trace prefix instead)", e.App)
-}
+// internal/browser) the whole browser stack. Both halves of an
+// application's state derive from its one declaration (declare.go), so
+// a fork and an image round trip land on the same world.
 
 // AppImage is one application's serialized server state.
 type AppImage struct {
@@ -58,9 +34,9 @@ type EnvImage struct {
 }
 
 // EncodeImage captures the environment half of a world image. It fails
-// with *NotImageableError when a hosted application's state does not
-// implement ImageMarshaler. Like State, it settles pending fork
-// snapshots before touching each state.
+// with *NotDeclaredError when a hosted application's state does not
+// implement Declarer. Like State, it settles pending fork snapshots
+// before touching each state.
 func (e *Env) EncodeImage() (*EnvImage, error) {
 	img := &EnvImage{
 		Now:     e.Clock.Now(),
@@ -69,12 +45,7 @@ func (e *Env) EncodeImage() (*EnvImage, error) {
 	}
 	for _, a := range e.apps {
 		name := a.Name()
-		st := e.cells[name].touch()
-		m, ok := st.(ImageMarshaler)
-		if !ok {
-			return nil, &NotImageableError{App: name}
-		}
-		data, err := m.MarshalImage()
+		data, err := marshalState(name, e.cells[name].touch())
 		if err != nil {
 			return nil, fmt.Errorf("registry: marshaling app %q: %w", name, err)
 		}
@@ -97,17 +68,7 @@ func (e *Env) EncodeImage() (*EnvImage, error) {
 // the campaign tests. An imaged app with no definition in the
 // selection is unrecoverable.
 func RestoreEnv(img *EnvImage, bimg *browser.Image, opts ...EnvOption) (*Env, *browser.DecodedImage, error) {
-	cfg := envConfig{latency: DefaultAJAXLatency}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	var selected []App
-	if cfg.registry != nil {
-		selected = cfg.registry.Apps()
-	} else if len(cfg.apps) == 0 {
-		selected = Default.Apps()
-	}
-	selected = append(selected, cfg.apps...)
+	_, selected := selectApps(opts)
 
 	pool := make(map[string]App, len(selected))
 	for _, a := range selected {
@@ -136,20 +97,10 @@ func RestoreEnv(img *EnvImage, bimg *browser.Image, opts ...EnvOption) (*Env, *b
 			return nil, nil, fmt.Errorf("registry: image lists app %q twice", name)
 		}
 		st := a.NewState()
-		if st == nil {
-			return nil, nil, fmt.Errorf("registry: app %q NewState returned nil", name)
-		}
-		m, ok := st.(ImageMarshaler)
-		if !ok {
-			return nil, nil, &NotImageableError{App: name}
-		}
-		if err := m.UnmarshalImage(ai.Data); err != nil {
+		if err := unmarshalState(name, st, ai.Data); err != nil {
 			return nil, nil, fmt.Errorf("registry: unmarshaling app %q: %w", name, err)
 		}
-		cell := &stateCell{app: a, st: st}
-		e.apps = append(e.apps, a)
-		e.cells[name] = cell
-		network.Register(a.Host(), &appPort{cell: cell})
+		e.host(a, &stateCell{app: a, st: st})
 	}
 
 	dec, err := browser.DecodeImage(bimg, clock, network)

@@ -46,36 +46,12 @@ type App interface {
 }
 
 // AppState is one environment's instance of an application: its mutable
-// server state plus the handler serving it.
+// server state plus the handler serving it. A state that also declares
+// its mutable fields (Declarer) makes its environment forkable and
+// imageable.
 type AppState interface {
 	// Handler serves the application's requests.
 	Handler() netsim.Handler
-	// Reset restores the state to what NewState returned — the reset
-	// semantics replay isolation relies on when an environment is
-	// reused instead of rebuilt.
-	Reset()
-}
-
-// Snapshotter is the optional checkpoint capability of an AppState.
-// States that implement it make their environment forkable: Env.Fork
-// snapshots every hosted application, and the campaign executor's
-// trie scheduler can then share trace prefixes across replays instead
-// of re-executing them.
-//
-// Snapshot must return a fully independent deep copy: same stored data,
-// same issued sessions (webapp.Server.CopySessionsFrom does that half
-// for webapp-based servers), and no mutable state shared with the
-// original — the two instances will serve concurrent worlds.
-//
-// States without a Snapshotter still work everywhere: Env.Fork fails
-// with *NotSnapshottableError and callers fall back to the semantics
-// Snapshot would have reproduced — Reset (or a fresh NewState) followed
-// by a replay of the trace prefix from command zero, i.e. exactly what
-// the campaign executor's flat mode does for every trace. The fallback
-// is correct for any app; it just pays the full prefix re-execution a
-// snapshot avoids.
-type Snapshotter interface {
-	Snapshot() AppState
 }
 
 // CoverageSource is the optional coverage capability of an AppState:
@@ -115,14 +91,6 @@ func HasCoverageMarks(a App) bool {
 	}
 	_, ok := a.NewState().(CoverageSource)
 	return ok
-}
-
-// NotSnapshottableError reports an Env.Fork against an application
-// whose state does not implement Snapshotter.
-type NotSnapshottableError struct{ App string }
-
-func (e *NotSnapshottableError) Error() string {
-	return fmt.Sprintf("registry: app %q state does not implement Snapshotter; fork unavailable (use Reset + prefix replay)", e.App)
 }
 
 // ---- typed registration and lookup errors ----

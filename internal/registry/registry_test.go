@@ -8,10 +8,11 @@ import (
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/netsim"
+	"github.com/dslab-epfl/warr/internal/webapp"
 )
 
 // fakeApp is a minimal plugin for registry tests: a one-page site whose
-// state counts the requests it served.
+// declared state counts the requests it served.
 type fakeApp struct {
 	name, host, url string
 }
@@ -20,37 +21,35 @@ func (a fakeApp) Name() string     { return a.name }
 func (a fakeApp) Host() string     { return a.host }
 func (a fakeApp) StartURL() string { return a.url }
 func (a fakeApp) NewState() AppState {
-	return &fakeState{owner: a.name}
-}
-
-type fakeState struct {
-	owner string
-
-	mu   sync.Mutex
-	hits int
-}
-
-func (s *fakeState) Handler() netsim.Handler {
-	return netsim.HandlerFunc(func(req *netsim.Request) *netsim.Response {
+	s := &fakeState{srv: webapp.NewServer(a.name)}
+	s.srv.Handle("/", func(*netsim.Request, *webapp.Session) *netsim.Response {
 		s.mu.Lock()
-		s.hits++
+		s.data.Hits++
 		s.mu.Unlock()
 		return netsim.OK(fmt.Sprintf(
 			"<html><head><title>%s</title></head><body><div id=\"who\">%s</div></body></html>",
-			s.owner, s.owner))
+			a.name, a.name))
 	})
+	return s
 }
 
-func (s *fakeState) Reset() {
-	s.mu.Lock()
-	s.hits = 0
-	s.mu.Unlock()
+type fakeState struct {
+	srv *webapp.Server
+
+	mu   sync.Mutex
+	data struct {
+		Hits int `json:"hits"`
+	}
 }
+
+func (s *fakeState) Handler() netsim.Handler { return s.srv }
+
+func (s *fakeState) Declare() (*sync.Mutex, any, *webapp.Server) { return &s.mu, &s.data, s.srv }
 
 func (s *fakeState) Hits() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hits
+	return s.data.Hits
 }
 
 func alphaApp() fakeApp { return fakeApp{"Alpha", "alpha.test", "http://alpha.test/"} }
@@ -184,10 +183,20 @@ func TestEnvHostsTwoAppsIsolated(t *testing.T) {
 		t.Errorf("sibling env's alpha served %d requests", got)
 	}
 
-	// Reset restores both apps' initial state.
+	// Reset rebuilds both apps' initial state: re-fetched states start
+	// over, and the forked copy of the served world keeps its hits.
+	fork, err := env.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
 	env.Reset()
-	if alpha.Hits() != 0 || beta.Hits() != 0 {
-		t.Error("Reset left hit counts behind")
+	for _, name := range []string{"Alpha", "Beta"} {
+		if got := env.MustState(name).(*fakeState).Hits(); got != 0 {
+			t.Errorf("%s: Reset left %d hits behind", name, got)
+		}
+		if got := fork.MustState(name).(*fakeState).Hits(); got == 0 {
+			t.Errorf("%s: Reset reached into a fork taken before it", name)
+		}
 	}
 }
 

@@ -96,8 +96,8 @@ func (s *Session) AddHooks(h Hooks) { s.hooks = append(s.hooks, h) }
 //
 // Forking requires a forkable environment: a browser with a world
 // attached (registry.NewEnv does this) whose applications implement
-// registry.Snapshotter. Otherwise Fork fails — typically with
-// browser.ErrNotForkable or *registry.NotSnapshottableError — and the
+// registry.Declarer. Otherwise Fork fails — typically with
+// browser.ErrNotForkable or *registry.NotDeclaredError — and the
 // caller falls back to replaying the prefix in a fresh environment.
 func (s *Session) Fork() (*Session, error) {
 	return s.ForkFor(s.trace)

@@ -1,13 +1,16 @@
 package webapp
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"strings"
+)
 
-// This file serializes a server's session state for durable world
-// images (internal/image). Routes are code, reconstructed by the
-// application's constructor; what an image must carry is exactly what
-// CopySessionsFrom copies — the issued sessions, their values, and the
-// sid counter, so a restored server recognizes imaged cookies and mints
-// the same future sids a forked one would.
+// This file is the one walk over a server's sessions: forks copy them
+// through ExportSessions/ImportSessions, world images (internal/image)
+// serialize the export, and the per-session coverage lane hashes it. It
+// carries the issued sessions, their values and the sid counter, so a
+// forked or restored server mints the same future sids as the original.
 
 // SessionImage is one serialized session.
 type SessionImage struct {
@@ -22,36 +25,29 @@ type SessionsImage struct {
 }
 
 // ExportSessions captures the server's sessions, sorted by id for
-// deterministic encoding.
+// deterministic encoding. The result shares nothing with the server.
 func (s *Server) ExportSessions() *SessionsImage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	img := &SessionsImage{NextSID: s.nextSID}
-	ids := make([]string, 0, len(s.sessions))
-	for id := range s.sessions {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		sess := s.sessions[id]
+	img := &SessionsImage{NextSID: s.nextSID, Sessions: make([]SessionImage, 0, len(s.sessions))}
+	for id, sess := range s.sessions {
 		sess.mu.Lock()
-		vals := make(map[string]string, len(sess.vals))
-		for k, v := range sess.vals {
-			vals[k] = v
-		}
+		img.Sessions = append(img.Sessions, SessionImage{ID: id, Vals: maps.Clone(sess.vals)})
 		sess.mu.Unlock()
-		img.Sessions = append(img.Sessions, SessionImage{ID: id, Vals: vals})
 	}
+	slices.SortFunc(img.Sessions, func(a, b SessionImage) int { return strings.Compare(a.ID, b.ID) })
 	return img
 }
 
 // ImportSessions replaces the server's sessions with the imaged ones.
+// The server takes ownership of img's value maps: pass a fresh export
+// or decode, not an image still in use.
 func (s *Server) ImportSessions(img *SessionsImage) {
 	sessions := make(map[string]*Session, len(img.Sessions))
 	for _, si := range img.Sessions {
-		vals := make(map[string]string, len(si.Vals))
-		for k, v := range si.Vals {
-			vals[k] = v
+		vals := si.Vals
+		if vals == nil {
+			vals = make(map[string]string)
 		}
 		sessions[si.ID] = &Session{ID: si.ID, vals: vals}
 	}

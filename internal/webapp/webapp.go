@@ -7,7 +7,6 @@ package webapp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -77,75 +76,6 @@ func (s *Server) Handle(path string, fn PageFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.routes[path] = fn
-}
-
-// CopySessionsFrom deep-copies src's sessions (and its sid counter)
-// into s, replacing whatever s held. It is the server-framework half of
-// an application's Snapshot implementation: the snapshot recognizes
-// exactly the sid cookies the original had issued, and future sids
-// continue from the same counter in both, so a forked replay mints the
-// same session ids a fresh replay of the full trace would.
-func (s *Server) CopySessionsFrom(src *Server) {
-	src.mu.Lock()
-	sessions := make(map[string]*Session, len(src.sessions))
-	for id, sess := range src.sessions {
-		sess.mu.Lock()
-		vals := make(map[string]string, len(sess.vals))
-		for k, v := range sess.vals {
-			vals[k] = v
-		}
-		sess.mu.Unlock()
-		sessions[id] = &Session{ID: id, vals: vals}
-	}
-	nextSID := src.nextSID
-	src.mu.Unlock()
-
-	s.mu.Lock()
-	s.sessions = sessions
-	s.nextSID = nextSID
-	s.mu.Unlock()
-}
-
-// SessionSnapshot is one session's identity and values, in a stable
-// form: Values holds "key=value" pairs sorted by key.
-type SessionSnapshot struct {
-	ID     string
-	Values []string
-}
-
-// SessionSnapshots returns every live session sorted by id — the
-// deterministic view the per-session coverage lanes hash. Sids are
-// minted in request order, so under a fixed schedule the snapshot is
-// identical run to run.
-func (s *Server) SessionSnapshots() []SessionSnapshot {
-	s.mu.Lock()
-	sessions := make([]*Session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
-	out := make([]SessionSnapshot, 0, len(sessions))
-	for _, sess := range sessions {
-		sess.mu.Lock()
-		vals := make([]string, 0, len(sess.vals))
-		for k, v := range sess.vals {
-			vals = append(vals, k+"="+v)
-		}
-		sess.mu.Unlock()
-		sort.Strings(vals)
-		out = append(out, SessionSnapshot{ID: sess.ID, Values: vals})
-	}
-	return out
-}
-
-// ResetSessions forgets every server-side session — part of an
-// application's reset semantics: a reset server no longer recognizes
-// previously issued sid cookies.
-func (s *Server) ResetSessions() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sessions = make(map[string]*Session)
 }
 
 // Serve implements netsim.Handler.
