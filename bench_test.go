@@ -15,6 +15,7 @@ package warr_test
 //	BenchmarkTaskTreeInference          — Fig. 6
 //	BenchmarkWebErrTraceGeneration      — §V-A (grammar-confined mutants vs exhaustive)
 //	BenchmarkWebErrCampaignPruning*     — §V-A heuristic 1 (prefix-failure pruning)
+//	BenchmarkNavigationCampaign*        — campaign executor at Parallelism 1 vs the work-sharing pool
 //	BenchmarkEnvFork                    — one environment checkpoint (trie scheduler unit cost)
 //	BenchmarkCampaignSharedPrefix*      — trace-trie scheduler vs the flat-executor ablation
 //	BenchmarkImageWriteRead             — WARR-IMAGE serialize + restore round trip (checkpoint cost)
@@ -394,19 +395,45 @@ func BenchmarkNavigationCampaignSequential(b *testing.B) {
 	benchParallelCampaign(b, 1)
 }
 
-// BenchmarkNavigationCampaignParallel fans the same campaign out over 8
-// concurrent replay sessions in isolated environments. The workload is
-// CPU-bound over a simulated substrate, so the wall-clock speedup over
-// the sequential baseline tracks GOMAXPROCS: expect ~min(8, cores)
-// scaling on multi-core hardware and parity on a single core.
+// BenchmarkNavigationCampaignParallel runs the same campaign on 8
+// workers of the trie scheduler's work-sharing pool.
 func BenchmarkNavigationCampaignParallel(b *testing.B) {
 	benchParallelCampaign(b, 8)
 }
 
+// BenchmarkNavigationCampaignComposeSequential is one compose-email
+// navigation campaign as WebErr runs it by default — recorded pacing,
+// prefix-failure pruning on, the trie scheduler — on one worker.
+// GMail mints fresh element ids, so every step of every mutant relaxes.
+func BenchmarkNavigationCampaignComposeSequential(b *testing.B) {
+	benchComposeCampaign(b, 1)
+}
+
+// BenchmarkNavigationCampaignComposeParallel is the same campaign on two
+// pool workers. Its single trie root branches into many long suffixes,
+// so two cores should run it clearly faster than one: the gate fails if
+// campaign execution goes back to serial.
+func BenchmarkNavigationCampaignComposeParallel(b *testing.B) {
+	benchComposeCampaign(b, 2)
+}
+
+func benchComposeCampaign(b *testing.B, parallelism int) {
+	_, gmail := benchTraces(b)
+	benchNavigationCampaign(b, gmail, warr.CampaignOptions{Parallelism: parallelism})
+}
+
 func benchParallelCampaign(b *testing.B, parallelism int) {
 	edit, _ := benchTraces(b)
+	benchNavigationCampaign(b, edit, warr.CampaignOptions{
+		Parallelism:    parallelism,
+		DisablePruning: true,
+		Replayer:       replayer.Options{Pacing: replayer.PaceNone},
+	})
+}
+
+func benchNavigationCampaign(b *testing.B, base warr.Trace, opts warr.CampaignOptions) {
 	fresh := func() *warr.Browser { return warr.NewDemoEnv(warr.DeveloperMode).Browser }
-	tree, err := warr.InferTaskTree(fresh, edit)
+	tree, err := warr.InferTaskTree(fresh, base)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -416,11 +443,7 @@ func benchParallelCampaign(b *testing.B, parallelism int) {
 	gcSettle()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep = warr.RunNavigationCampaign(fresh, g, warr.CampaignOptions{
-			Parallelism:    parallelism,
-			DisablePruning: true,
-			Replayer:       replayer.Options{Pacing: replayer.PaceNone},
-		})
+		rep = warr.RunNavigationCampaign(fresh, g, opts)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(rep.Replayed), "replays")

@@ -250,13 +250,11 @@ func (e *Executor) ExecuteShard(ctx context.Context, jobs []Job, depth int) []Ou
 		ctx = context.Background()
 	}
 	r := &sharedRun{e: e, ctx: ctx, jobs: jobs, outcomes: make([]Outcome, len(jobs))}
-	if e.opts.Parallelism > 1 {
-		r.sem = make(chan struct{}, e.opts.Parallelism-1)
-	}
-	if !r.execShard(depth) {
-		r.flatAll()
-	}
-	r.wg.Wait()
+	r.run(func() {
+		if !r.execShard(depth) {
+			r.flatAll()
+		}
+	})
 	return r.outcomes
 }
 

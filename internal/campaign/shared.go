@@ -33,16 +33,92 @@ import (
 // registry.Declarer — each divergent subtree falls back to the classic
 // flat path: a fresh environment and a full replay per job (the
 // documented fallback of the declared-state contract).
+//
+// Every run — a whole campaign or one distributed shard — executes on
+// one work-sharing pool of Parallelism workers, the caller included
+// (greedy work sharing after Blumofe & Leiserson, scaled down to one
+// mutex-guarded stack per run). A worker at a branch point takes the
+// forks there, before unit 0 changes the live session, so the fork
+// count does not depend on scheduling; it shares units 1..n-1 on the
+// stack and continues unit 0 itself. A worker that finishes its unit
+// takes the next ready one, and the run ends when the stack is empty
+// and every worker is idle.
 type sharedRun struct {
 	e        *Executor
 	ctx      context.Context
 	jobs     []Job
 	outcomes []Outcome
+	pool     *unitPool
+}
 
-	// sem bounds concurrently running sessions beyond the caller's own
-	// goroutine; nil means fully sequential.
-	sem chan struct{}
-	wg  sync.WaitGroup
+// unitPool is a run's stack of ready branch units. Units are pushed in
+// reverse and popped last-in first-out, so with a single worker the
+// stack replays depth-first recursion exactly: Parallelism 1 runs the
+// classic inline order on the caller's goroutine, with no goroutines.
+type unitPool struct {
+	mu    sync.Mutex
+	ready sync.Cond
+	stack []func()
+	// workers is the pool size; idle counts workers waiting on ready.
+	workers, idle int
+	// over is set once the stack is empty with every other worker idle:
+	// no running unit is left that could share more.
+	over bool
+}
+
+// run executes units, and every unit they share, on Parallelism workers:
+// the caller plus Parallelism-1 goroutines, all finished when run
+// returns. units[0] is taken first.
+func (r *sharedRun) run(units ...func()) {
+	p := &unitPool{workers: r.e.opts.Parallelism}
+	p.ready.L = &p.mu
+	for i := len(units) - 1; i >= 0; i-- {
+		p.stack = append(p.stack, units[i])
+	}
+	r.pool = p
+	var wg sync.WaitGroup
+	for range p.workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.work()
+		}()
+	}
+	p.work()
+	wg.Wait()
+}
+
+// share makes a branch unit available to the next free worker.
+func (p *unitPool) share(u func()) {
+	p.mu.Lock()
+	p.stack = append(p.stack, u)
+	p.mu.Unlock()
+	p.ready.Signal()
+}
+
+// work runs ready units until the run is over.
+func (p *unitPool) work() {
+	p.mu.Lock()
+	for {
+		if n := len(p.stack); n > 0 {
+			u := p.stack[n-1]
+			p.stack[n-1] = nil // the unit's sessions die with it
+			p.stack = p.stack[:n-1]
+			p.mu.Unlock()
+			u()
+			p.mu.Lock()
+			continue
+		}
+		if p.over || p.idle == p.workers-1 {
+			p.over = true
+			p.mu.Unlock()
+			p.ready.Broadcast()
+			return
+		}
+		p.idle++
+		p.ready.Wait()
+		p.idle--
+	}
 }
 
 // tryExecuteShared runs the jobs through the trie scheduler when it
@@ -60,20 +136,11 @@ func (e *Executor) tryExecuteShared(ctx context.Context, jobs []Job) ([]Outcome,
 	}
 
 	r := &sharedRun{e: e, ctx: ctx, jobs: jobs, outcomes: make([]Outcome, len(jobs))}
-	if e.opts.Parallelism > 1 {
-		r.sem = make(chan struct{}, e.opts.Parallelism-1)
+	units := make([]func(), len(roots))
+	for i, root := range roots {
+		units[i] = func() { r.runRoot(root) }
 	}
-	var inline []*trieRoot
-	for _, root := range roots {
-		root := root
-		if !r.trySpawn(func() { r.runRoot(root) }) {
-			inline = append(inline, root)
-		}
-	}
-	for _, root := range inline {
-		r.runRoot(root)
-	}
-	r.wg.Wait()
+	r.run(units...)
 	return r.outcomes, true
 }
 
@@ -91,28 +158,6 @@ func (e *Executor) newSession(ctx context.Context, tr command.Trace, pacing repl
 	ropts := e.opts.Replayer
 	ropts.Pacing = pacing
 	return replayer.New(e.newEnv(), ropts).NewSession(ctx, tr)
-}
-
-// trySpawn runs fn on a worker goroutine if a parallelism slot is
-// free; it reports whether fn was taken.
-func (r *sharedRun) trySpawn(fn func()) bool {
-	if r.sem == nil {
-		return false
-	}
-	select {
-	case r.sem <- struct{}{}:
-	default:
-		return false
-	}
-	r.wg.Add(1)
-	go func() {
-		defer func() {
-			<-r.sem
-			r.wg.Done()
-		}()
-		fn()
-	}()
-	return true
 }
 
 // runRoot opens a fresh environment for one trie root and executes its
@@ -180,22 +225,12 @@ func (r *sharedRun) runSubtree(sess *replayer.Session, node *trieNode, curJob in
 		}
 		forks[i] = f
 	}
-	for i := 1; i < n; i++ {
-		if forks[i] == nil {
-			continue
-		}
-		f := forks[i]
-		u := units[i]
-		if r.trySpawn(func() { r.runUnit(f, node, u, u.min(), failed) }) {
-			forks[i] = nil
+	for i := n - 1; i >= 1; i-- {
+		if f, u := forks[i], units[i]; f != nil {
+			r.pool.share(func() { r.runUnit(f, node, u, u.min(), failed) })
 		}
 	}
 	r.runUnit(sess, node, units[0], curJob, failed)
-	for i := 1; i < n; i++ {
-		if forks[i] != nil {
-			r.runUnit(forks[i], node, units[i], units[i].min(), failed)
-		}
-	}
 }
 
 // branchUnit is one divergent continuation below a node: a materialized

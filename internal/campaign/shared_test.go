@@ -1,10 +1,15 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/replayer"
 )
@@ -186,5 +191,40 @@ func TestSharedExecutionConcurrentWorkers(t *testing.T) {
 					i, par[i].Result.Failed, seq[i].Result.Failed)
 			}
 		}
+	}
+}
+
+// TestPoolRunsBranchesOfOneRootConcurrently: at Parallelism 2, a
+// campaign whose trie has a single root must have two sessions in
+// flight at once — the second worker takes a branch unit the first
+// shared. Each job's oracle waits, up to a deadline, until a second
+// oracle call is in flight at the same time.
+func TestPoolRunsBranchesOfOneRootConcurrently(t *testing.T) {
+	jobs := editJobs(t)
+	if roots := buildTrie(jobs, replayer.PaceNone); len(roots) != 1 {
+		t.Fatalf("%d trie roots, want 1", len(roots))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var inFlight atomic.Int32
+	met := make(chan struct{})
+	var meet sync.Once
+	inspect := func(Job, *replayer.Result, *browser.Tab) error {
+		if inFlight.Add(1) >= 2 {
+			meet.Do(func() { close(met) })
+		}
+		select {
+		case <-met:
+		case <-ctx.Done():
+		}
+		inFlight.Add(-1)
+		return nil
+	}
+	New(freshBrowser, Options{Parallelism: 2, Inspect: inspect,
+		Replayer: replayer.Options{Pacing: replayer.PaceNone}}).Execute(nil, jobs)
+	select {
+	case <-met:
+	default:
+		t.Fatal("no two sessions of the single-root campaign were in flight at once")
 	}
 }

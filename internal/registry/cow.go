@@ -32,6 +32,12 @@ import (
 type stateCell struct {
 	app App
 
+	// gate makes touch atomic: it is held while the cell's own state
+	// materializes and every pending fork is snapshotted from it, so no
+	// touch — the owner's or a fork's — returns while a pending fork
+	// still needs the state as it stands.
+	gate sync.Mutex
+
 	mu sync.Mutex
 	// st is the materialized state; nil while the cell is lazy.
 	st AppState
@@ -42,54 +48,41 @@ type stateCell struct {
 	pending []*stateCell
 }
 
-// materialize returns the cell's state, snapshotting from the source
-// chain on first use. The cell's lock is never held across the call
-// into the source: the source's touch may drain a pending list that
-// contains this very cell, re-entering materialize on the same
-// goroutine (the nil-check under the lock makes that idempotent).
-func (c *stateCell) materialize() AppState {
+// touch materializes the cell and every pending fork snapshot of it,
+// and returns its state — the required step before the state is
+// served, handed out, reset, or mutated, so pending forks capture it as
+// it stood when they forked. A lazy cell materializes by touching its
+// source, whose touch snapshots this cell among its pending forks; gates
+// are therefore only ever taken from a fork towards its ancestors.
+func (c *stateCell) touch() AppState {
+	c.gate.Lock()
+	defer c.gate.Unlock()
 	c.mu.Lock()
-	if c.st != nil {
-		st := c.st
-		c.mu.Unlock()
-		return st
-	}
-	src := c.src
+	lazy, src := c.st == nil, c.src
 	c.mu.Unlock()
-
-	srcSt := src.touch()
+	if lazy {
+		src.touch() // settles c among src's pending forks
+	}
 	c.mu.Lock()
-	if c.st == nil {
-		st, err := forkState(c.app, srcSt)
-		if err != nil {
-			c.mu.Unlock()
-			panic(err) // unreachable: Env.Fork checked the declaration
-		}
-		c.st, c.src = st, nil
-	}
-	st := c.st
+	st, pending := c.st, c.pending
+	c.pending = nil
 	c.mu.Unlock()
+	for _, f := range pending {
+		f.settle(st)
+	}
 	return st
 }
 
-// touch materializes every pending fork snapshot of this cell and
-// returns its state — the required step before the state is served,
-// handed out, reset, or mutated, so pending forks capture it as it
-// stood when they forked.
-func (c *stateCell) touch() AppState {
-	for {
-		c.mu.Lock()
-		pending := c.pending
-		c.pending = nil
-		c.mu.Unlock()
-		if len(pending) == 0 {
-			break
-		}
-		for _, f := range pending {
-			f.materialize()
-		}
+// settle materializes a lazy fork cell as a copy of its source's state
+// srcSt; the source's touch calls it with its gate held.
+func (c *stateCell) settle(srcSt AppState) {
+	st, err := forkState(c.app, srcSt)
+	if err != nil {
+		panic(err) // unreachable: Env.Fork checked the declaration
 	}
-	return c.materialize()
+	c.mu.Lock()
+	c.st, c.src = st, nil
+	c.mu.Unlock()
 }
 
 // dependOn registers c as a lazy snapshot of src.

@@ -276,7 +276,7 @@ func (r *Replayer) resolve(driver *webdriver.Driver, cmd command.Command) (el *w
 			for _, relax := range c.Relaxations() {
 				rel, rerr := driver.FindElementPath(relax.Path)
 				if rerr == nil {
-					return rel, relax.Path.String(), relax.Heuristic, nil
+					return rel, relax.Expr, relax.Heuristic, nil
 				}
 				if errors.Is(rerr, webdriver.ErrNoActiveClient) {
 					return nil, "", "", rerr

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/command"
@@ -283,6 +284,12 @@ func (s *Session) Next() (step Step, ok bool) {
 			}
 		}
 	})
+	if len(s.res.Steps) == cap(s.res.Steps) {
+		// Reserve the rest of the trace at once: a fork's cloned result
+		// has no spare capacity, and doubling from there would copy the
+		// whole prefix again and again.
+		s.res.Steps = slices.Grow(s.res.Steps, len(s.trace.Commands)-idx)
+	}
 	s.res.Steps = append(s.res.Steps, step)
 	if step.Status == StepFailed {
 		s.res.Failed++

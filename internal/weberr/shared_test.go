@@ -2,10 +2,17 @@ package weberr
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/dslab-epfl/warr/internal/apps"
+	"github.com/dslab-epfl/warr/internal/browser"
+	"github.com/dslab-epfl/warr/internal/campaign"
+	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
+	"github.com/dslab-epfl/warr/internal/webapp"
 )
 
 // reportKey canonicalizes a full campaign report — counts and findings
@@ -86,5 +93,114 @@ func TestSharedPrefixCampaignParallelWorkersAgree(t *testing.T) {
 	}
 	if par.Generated != seq.Generated {
 		t.Errorf("parallel generated %d, sequential %d", par.Generated, seq.Generated)
+	}
+}
+
+// renderOutcomes renders what every execution strategy must agree on:
+// per job, a finding (F), a failed or pruned replay (x) or a clean
+// replay (.), then the findings. Which failing traces were pruned rather
+// than replayed may shift with scheduling; a pruned trace is one whose
+// replay would fail.
+func renderOutcomes(outs []campaign.Outcome) string {
+	var b strings.Builder
+	for _, out := range outs {
+		switch {
+		case out.Skipped || (out.Result != nil && out.Result.Cancelled):
+			b.WriteByte('s')
+		case out.Pruned || out.Result.Failed > 0 || out.Result.Halted:
+			b.WriteByte('x')
+		case out.Verdict != nil:
+			b.WriteByte('F')
+		default:
+			b.WriteByte('.')
+		}
+	}
+	for _, f := range ReportOutcomes(outs).Findings {
+		fmt.Fprintf(&b, "\n%s: %v", f.Injection, f.Observed)
+	}
+	return b.String()
+}
+
+// slowSnapshotApp hosts states whose first Declare call takes 5 ms. A
+// fork's copy-on-write snapshot makes that call on its fresh copy just
+// before copying the parent's state into it, so the delay widens the
+// window in which taking the snapshot overlaps the parent's next
+// request.
+type slowSnapshotApp struct{ registry.App }
+
+func (a slowSnapshotApp) NewState() registry.AppState {
+	return &slowSnapshotState{AppState: a.App.NewState()}
+}
+
+type slowSnapshotState struct {
+	registry.AppState
+	once sync.Once
+}
+
+func (s *slowSnapshotState) Declare() (*sync.Mutex, any, *webapp.Server) {
+	s.once.Do(func() { time.Sleep(5 * time.Millisecond) })
+	return s.AppState.(registry.Declarer).Declare()
+}
+
+// TestPoolMatchesFlatOnTableII: at every Parallelism, on every Table II
+// trace, a navigation campaign renders exactly as the flat sequential
+// run — through Execute, and sharded through ExecuteShard. The
+// concurrent runs use slow-snapshot worlds and repeat, so that a
+// scheduling-dependent divergence, such as a fork's snapshot catching
+// its parent's later login, shows.
+func TestPoolMatchesFlatOnTableII(t *testing.T) {
+	const rounds = 2
+	for _, sc := range apps.TableIIScenarios() {
+		t.Run(sc.Name, func(t *testing.T) {
+			// Every application is hosted; the scenario's own one, the
+			// only one its campaign mutates, snapshots slowly.
+			var hosted []registry.App
+			for _, a := range registry.Default.Apps() {
+				if a.Name() == sc.App {
+					a = slowSnapshotApp{a}
+				}
+				hosted = append(hosted, a)
+			}
+			slowEnv := registry.BrowserFactory(browser.DeveloperMode, registry.WithApps(hosted...))
+			tr := recordScenario(t, sc)
+			tree, err := InferTaskTree(freshBrowser, tr)
+			if err != nil {
+				t.Fatalf("InferTaskTree: %v", err)
+			}
+			g := FromTaskTree(tree)
+			flat := CampaignOptions{Parallelism: 1, DisablePrefixSharing: true}
+			jobs := NavigationPlan(g, flat)
+			want := renderOutcomes(NavigationExecutor(freshBrowser, flat).Execute(nil, jobs))
+
+			for round := range rounds {
+				for _, p := range []int{1, 2, 4, 8} {
+					opts := CampaignOptions{Parallelism: p}
+					newEnv := slowEnv
+					if p == 1 {
+						newEnv = freshBrowser // nothing runs concurrently
+					}
+					if got := renderOutcomes(NavigationExecutor(newEnv, opts).Execute(nil, jobs)); got != want {
+						t.Errorf("round %d, Parallelism %d: Execute renders\n%s\nflat renders\n%s", round, p, got, want)
+					}
+					plan, ok := NavigationExecutor(newEnv, opts).PlanShards(nil, jobs, 0)
+					if !ok {
+						t.Fatalf("Parallelism %d: campaign not distributable", p)
+					}
+					for _, sh := range plan.Shards {
+						shardJobs := make([]campaign.Job, len(sh.Jobs))
+						for i, ji := range sh.Jobs {
+							shardJobs[i] = campaign.Job{Trace: jobs[ji].Trace, Pacing: jobs[ji].Pacing}
+						}
+						outs := NavigationExecutor(newEnv, opts).ExecuteShard(nil, shardJobs, sh.Depth)
+						if err := plan.Merge(sh, outs); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got := renderOutcomes(plan.Outcomes); got != want {
+						t.Errorf("round %d, Parallelism %d: ExecuteShard renders\n%s\nflat renders\n%s", round, p, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -13,6 +13,10 @@ package xpath
 type Relaxation struct {
 	Path      Path
 	Heuristic string
+	// Expr is Path rendered (Path.String()), kept from deduplication so
+	// the replayer can report the expression it used without
+	// re-rendering it on every relaxed step.
+	Expr string
 }
 
 // Relaxations returns the ordered sequence of progressively weaker
@@ -22,11 +26,11 @@ func Relaxations(p Path) []Relaxation {
 	var out []Relaxation
 	seen := map[string]bool{p.String(): true}
 	add := func(r Relaxation) {
-		key := r.Path.String()
-		if len(r.Path.Steps) == 0 || seen[key] {
+		r.Expr = r.Path.String()
+		if len(r.Path.Steps) == 0 || seen[r.Expr] {
 			return
 		}
-		seen[key] = true
+		seen[r.Expr] = true
 		out = append(out, r)
 	}
 
