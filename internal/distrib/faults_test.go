@@ -17,6 +17,7 @@ import (
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/faults"
+	"github.com/dslab-epfl/warr/internal/fnv1a"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/replayer"
 	"github.com/dslab-epfl/warr/internal/weberr"
@@ -312,58 +313,63 @@ func TestLateCompletionAfterReapCreditsOnce(t *testing.T) {
 
 // TestCompletionChecksumRejectsCorruption pins the merge-integrity
 // edge the checksum exists for: a flipped byte inside a JSON string
-// still decodes as JSON, so only Verify keeps it out of the merge. The
-// handler must 400 (the worker's retry resends clean bytes), accept
-// the intact sealed message, and tolerate unsealed messages from
-// older workers.
+// still decodes as JSON, so only the seal keeps it out of the merge.
+// The handler checks the bytes it received, so it must 400 the
+// corruption (the worker's retry resends clean bytes) and accept the
+// intact sealed message, a report an older worker sealed field by
+// field, a newer worker's report carrying a field this coordinator
+// does not know, and an unsealed report.
 func TestCompletionChecksumRejectsCorruption(t *testing.T) {
 	pool := NewPool(PoolOptions{})
 	srv := httptest.NewServer(pool.Handler())
 	defer srv.Close()
 
-	post := func(body []byte) *http.Response {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/complete", "application/json", bytes.NewReader(body))
+	// A long token keeps the body's middle byte inside a string value:
+	// the corruption decodes fine and only the checksum can catch it.
+	msg := CompleteMsg{Worker: "w1", Lease: "lease-1", Token: strings.Repeat("a", 1024) + "/3", Retries: 1,
+		Outcomes: []jobs.OutcomeEvent{{Type: "outcome", Index: 0, Status: "replayed", Played: 4}}}
+	clean, err := seal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An older worker: the checksum of the Sum-zero encoding, then the
+	// struct re-encoded with Sum set.
+	unsealed, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structSealed := msg
+	structSealed.Sum = fnv1a.Bytes(unsealed)
+	older, err := json.Marshal(structSealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A newer worker: a field this coordinator does not decode.
+	newer := append(bytes.TrimSuffix(bytes.Clone(unsealed), []byte("}")), `,"firstFailedStep":3}`...)
+	newer = append(newer[:len(newer)-1], fmt.Sprintf(`,"sum":%d}`, fnv1a.Bytes(newer))...)
+
+	for _, c := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"corrupted", faults.CorruptBody(bytes.Clone(clean)), http.StatusBadRequest},
+		{"sealed", clean, http.StatusNoContent},
+		{"older struct-sealed", older, http.StatusNoContent},
+		{"newer with an unknown field", newer, http.StatusNoContent},
+		{"unsealed", unsealed, http.StatusNoContent},
+	} {
+		resp, err := http.Post(srv.URL+"/complete", "application/json", bytes.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
-	}
-
-	// A long token keeps the body's middle byte inside a string value:
-	// the corruption decodes fine and only the checksum can catch it.
-	msg := CompleteMsg{Worker: "w1", Lease: "lease-1", Token: strings.Repeat("a", 1024) + "/3"}
-	if err := msg.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resp := post(faults.CorruptBody(append([]byte(nil), clean...)))
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("corrupted completion: %s, want 400", resp.Status)
-	}
-	if !strings.Contains(string(text), "checksum") {
-		t.Errorf("corrupted completion rejected for %q, want the checksum", strings.TrimSpace(string(text)))
-	}
-
-	resp = post(clean)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Errorf("sealed completion: %s, want 204", resp.Status)
-	}
-
-	unsealed, err := json.Marshal(CompleteMsg{Worker: "w1", Lease: "lease-2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp = post(unsealed)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Errorf("unsealed completion: %s, want 204 (older workers carry no checksum)", resp.Status)
+		text, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s completion: %s %q, want %d", c.name, resp.Status, strings.TrimSpace(string(text)), c.want)
+		}
+		if c.want == http.StatusBadRequest && !strings.Contains(string(text), "checksum") {
+			t.Errorf("%s completion rejected for %q, want the checksum", c.name, strings.TrimSpace(string(text)))
+		}
 	}
 }

@@ -286,40 +286,39 @@ func TestPollForfeitsLostGrant(t *testing.T) {
 }
 
 // TestLeaseReplyChecksum: a grant corrupted in flight can still decode
-// as JSON with a garbled trace; the seal must reject it. A grant sealed
-// by an older coordinator, whose leases also carried a branch-point
-// image digest, must still verify.
+// as JSON with a garbled dictionary; the seal must reject it. A grant
+// sealed by an older coordinator, whose leases also carried a
+// branch-point image digest, must still verify.
 func TestLeaseReplyChecksum(t *testing.T) {
 	l := WireLease{
 		Status: StatusLease, ID: "lease-1", Campaign: "navigation", Token: "run-1/0",
 		Parallelism: 2, Depth: 1,
-		Jobs: []WireJob{{Trace: command.Trace{StartURL: "http://sites.test/", Commands: []command.Command{
+		// The long XPath keeps the body's middle byte, the one
+		// faults.CorruptBody flips, inside a JSON string.
+		Commands: []wireCommand{
 			{Action: command.Click, XPath: `//div[@id="edit"]`},
-			{Action: command.Type, XPath: `//textarea[@name="body"]`, Key: "H", Code: 72},
-		}}}},
+			{Action: command.Type, XPath: `/html/body/div[@class="editor"]/form/table/tbody/tr/td/div[@class="field"]/textarea[@name="body"]`, Key: "H", Code: 72},
+		},
+		Jobs: []WireJob{{StartURL: "http://sites.test/", Refs: []int32{0, 1}}},
 	}
-	if err := l.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(l)
+	b, err := seal(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !verifySealed(append(b, '\n'), l.Sum) {
-		t.Fatal("intact sealed lease rejected")
+	if _, _, err := decodeLease(append(b, '\n')); err != nil {
+		t.Fatalf("intact sealed lease rejected: %v", err)
 	}
 	bad := faults.CorruptBody(append([]byte(nil), b...))
 	var garbled WireLease
 	if err := json.Unmarshal(bad, &garbled); err != nil {
 		t.Fatalf("the flipped byte no longer lands inside a JSON value: %v", err)
 	}
-	if verifySealed(bad, garbled.Sum) {
+	if _, _, err := decodeLease(bad); err == nil {
 		t.Errorf("corrupted lease passed verification: %+v", garbled)
 	}
 
 	// An older coordinator's grant: the image field sat between
 	// parallelism and depth, and the seal covers it.
-	l.Sum = 0
 	unsealed, err := json.Marshal(l)
 	if err != nil {
 		t.Fatal(err)
@@ -330,21 +329,20 @@ func TestLeaseReplyChecksum(t *testing.T) {
 	}
 	sum := fnv1a.Bytes([]byte(old))
 	old = strings.TrimSuffix(old, "}") + fmt.Sprintf(`,"sum":%d}`, sum)
-	var got WireLease
-	if err := json.Unmarshal([]byte(old), &got); err != nil {
-		t.Fatal(err)
+	got, cjobs, err := decodeLease([]byte(old + "\n"))
+	if err != nil {
+		t.Fatalf("an older coordinator's sealed grant was rejected: %v", err)
 	}
-	if !verifySealed([]byte(old+"\n"), got.Sum) {
-		t.Error("an older coordinator's sealed grant was rejected")
-	}
-	if got.Depth != 1 || len(got.Jobs) != 1 {
+	if got.Depth != 1 || len(cjobs) != 1 || len(cjobs[0].Trace.Commands) != 2 {
 		t.Errorf("older grant decoded as %+v", got)
 	}
 }
 
-// TestSealMatchesHashFNV pins the completion checksum to hash/fnv's
-// FNV-1a over the same bytes, so reports sealed by workers built
-// before the switch to internal/fnv1a still verify.
+// TestSealMatchesHashFNV pins the seal's checksum to hash/fnv's FNV-1a
+// over the message's encoding with Sum zero, so reports sealed by
+// workers built before the switch to internal/fnv1a — or sealed field
+// by field, before seal spliced the sum into one encoding — still
+// verify.
 func TestSealMatchesHashFNV(t *testing.T) {
 	msg := CompleteMsg{
 		Worker: "w1", Lease: "lease-7", Token: "run-3/2", Retries: 2,
@@ -356,17 +354,26 @@ func TestSealMatchesHashFNV(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write(b)
-	if err := msg.Seal(); err != nil {
+	sealed, err := seal(msg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Sum != h.Sum64() {
-		t.Errorf("Seal sum %#x, hash/fnv gives %#x", msg.Sum, h.Sum64())
+	var got CompleteMsg
+	if err := json.Unmarshal(sealed, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Sum != h.Sum64() {
+		t.Errorf("seal sum %#x, hash/fnv gives %#x", got.Sum, h.Sum64())
 	}
 	const pinned = 0xb7940120fb9a4d3c
-	if msg.Sum != pinned {
-		t.Errorf("Seal sum %#x, pinned %#x", msg.Sum, uint64(pinned))
+	if got.Sum != pinned {
+		t.Errorf("seal sum %#x, pinned %#x", got.Sum, uint64(pinned))
 	}
-	if !msg.Verify() {
+	// The spliced bytes are exactly the message re-encoded with its sum.
+	if again, _ := json.Marshal(got); string(again) != string(sealed) {
+		t.Errorf("sealed bytes\n%s\ndiffer from the struct encoding\n%s", sealed, again)
+	}
+	if !verifySealed(sealed, got.Sum) {
 		t.Error("sealed message failed verification")
 	}
 }

@@ -471,10 +471,7 @@ func (p *Pool) grantLocked(worker string) WireLease {
 		Token:          fmt.Sprintf("%s/%d", run.token, si),
 		Crash:          crash,
 	}
-	for _, ji := range sh.Jobs {
-		j := run.jobs[ji]
-		wl.Jobs = append(wl.Jobs, WireJob{Pacing: j.Pacing, Trace: j.Trace})
-	}
+	wl.Commands, wl.Jobs = encodeJobs(run.jobs, sh.Jobs)
 	return wl
 }
 
@@ -641,12 +638,13 @@ func (p *Pool) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.touch(worker)
-	if err := l.Seal(); err != nil {
+	body, err := seal(l)
+	if err != nil {
 		http.Error(w, fmt.Sprintf("distrib: sealing lease: %v", err), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(l)
+	_, _ = w.Write(body)
 }
 
 // maxHold caps the lease-poll hold window: it must stay under the
@@ -706,10 +704,11 @@ func (p *Pool) handleComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("distrib: decoding completion: %v", err), http.StatusBadRequest)
 		return
 	}
-	if !msg.Verify() {
+	if !verifySealed(body, msg.Sum) {
 		// A flipped byte inside a JSON string still decodes; the checksum
-		// is what keeps corrupted results out of the merge. The worker's
-		// retry resends the same sealed message over a clean transfer.
+		// over the received bytes is what keeps corrupted results out of
+		// the merge. The worker's retry resends the same sealed bytes
+		// over a clean transfer.
 		http.Error(w, "distrib: completion failed checksum verification", http.StatusBadRequest)
 		return
 	}

@@ -31,6 +31,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strconv"
 
 	"github.com/dslab-epfl/warr/internal/browser"
@@ -53,12 +54,30 @@ const (
 	StatusIdle = "idle"
 )
 
-// WireJob is one shard job on the wire: the trace and its pacing
-// override. Meta never crosses the boundary — it is coordinator-side
-// context (e.g. weberr's Injection) rebound when outcomes merge.
+// WireJob is one shard job on the wire: its pacing override, its start
+// URL, and its commands as indices into the lease's command dictionary
+// (WireLease.Commands). Meta never crosses the boundary — it is
+// coordinator-side context (e.g. weberr's Injection) rebound when
+// outcomes merge.
 type WireJob struct {
-	Pacing replayer.Pacing `json:"pacing,omitempty"`
-	Trace  command.Trace   `json:"trace"`
+	Pacing   replayer.Pacing `json:"pacing,omitempty"`
+	StartURL string          `json:"start,omitempty"`
+	Refs     []int32         `json:"refs"`
+}
+
+// wireCommand is a dictionary entry: a command.Command under one-letter
+// keys, its zero fields left off the wire. It converts to and from
+// command.Command directly, so the two cannot drift apart.
+type wireCommand struct {
+	Action  command.Action `json:"a"`
+	XPath   string         `json:"p,omitempty"`
+	X       int            `json:"x,omitempty"`
+	Y       int            `json:"y,omitempty"`
+	DX      int            `json:"dx,omitempty"`
+	DY      int            `json:"dy,omitempty"`
+	Key     string         `json:"k,omitempty"`
+	Code    int            `json:"c,omitempty"`
+	Elapsed int            `json:"e,omitempty"`
 }
 
 // WireLease is the coordinator's reply to a lease poll. When Status is
@@ -79,8 +98,18 @@ type WireLease struct {
 	Parallelism    int                   `json:"parallelism,omitempty"`
 	// Depth is how many leading commands every job of the shard shares;
 	// the worker replays them once before the subtree branches.
-	Depth int       `json:"depth,omitempty"`
-	Jobs  []WireJob `json:"jobs,omitempty"`
+	Depth int `json:"depth,omitempty"`
+	// Commands is the shard's command dictionary: every distinct command
+	// its jobs use, once. WebErr mutants reorder, substitute and omit
+	// the base trace's commands, so a shard's jobs share almost all of
+	// them.
+	Commands []wireCommand `json:"commands,omitempty"`
+	// Jobs are the shard's jobs, each a list of refs into Commands. The
+	// key is deliberately not the "jobs" that older workers read: they
+	// decode zero jobs and report zero outcomes, which the coordinator's
+	// merge rejects on the outcome count, so a mixed fleet never merges
+	// wrong outcomes.
+	Jobs []WireJob `json:"dictJobs,omitempty"`
 	// TTLMillis is the lease's heartbeat deadline: the worker must
 	// contact the coordinator again within this interval or the shard
 	// is re-queued.
@@ -99,28 +128,23 @@ type WireLease struct {
 	// the worker executes in fresh shared worlds of its own.
 	LoadJobs []multiuser.ScheduleJob `json:"loadJobs,omitempty"`
 	// Sum is the reply's integrity checksum, as CompleteMsg.Sum: a
-	// grant whose trace was garbled in flight must not execute. The
-	// worker treats a reply failing verifySealed as a failed poll, and
+	// grant whose dictionary was garbled in flight must not execute. The
+	// worker treats a reply decodeLease refuses as a failed poll, and
 	// its next poll forfeits the grant it never received. 0 means
 	// unsealed.
 	Sum uint64 `json:"sum,omitempty"`
 }
 
-// Seal stamps the reply's integrity checksum; call it last.
-func (l *WireLease) Seal() error {
-	l.Sum = 0
-	sum, err := checksum(l)
-	l.Sum = sum
-	return err
-}
-
-// verifySealed checks a sealed reply against the bytes it arrived as.
-// The sender checksummed its own encoding with Sum zeroed, and Sum is
-// the last field, so cutting `,"sum":N` out of the received bytes
-// restores exactly what was sealed — whatever fields the sender's
-// version had. A worker thus accepts grants from coordinators whose
-// leases carry fields it does not know (an older coordinator's image
-// digest). sum 0 (unsealed) always passes.
+// verifySealed checks a sealed message — a lease reply or a completion
+// report — against the bytes it arrived as. The sender checksummed its
+// own encoding with Sum zeroed, and Sum is the last field, so cutting
+// `,"sum":N` out of the received bytes restores exactly what was sealed
+// — whatever fields the sender's version had. A worker thus accepts
+// grants whose leases carry fields it does not know (an older
+// coordinator's image digest), and a coordinator accepts reports
+// carrying fields it does not know. Messages sealed field by field by
+// older versions produced the same bytes and verify too. sum 0
+// (unsealed) always passes.
 func verifySealed(body []byte, sum uint64) bool {
 	if sum == 0 {
 		return true
@@ -131,7 +155,7 @@ func verifySealed(body []byte, sum uint64) bool {
 	if n < 0 || string(body[n:]) != tail {
 		return false
 	}
-	return fnv1a.Bytes(append(body[:n:n], '}')) == sum
+	return fnv1a.AddByte(fnv1a.Bytes(body[:n]), '}') == sum
 }
 
 // CompleteMsg reports a finished shard: one OutcomeEvent per shard job,
@@ -150,50 +174,89 @@ type CompleteMsg struct {
 	// its last report — the coordinator accumulates them into
 	// warr_retries_total.
 	Retries int64 `json:"retries,omitempty"`
-	// Sum is the FNV-1a checksum of the message's canonical encoding
-	// with Sum zeroed (see Seal). A corrupted transfer that still
-	// decodes as JSON — a flipped byte inside a string value — would
-	// otherwise merge garbage into the campaign; the checksum turns
-	// every corruption into a rejection the worker's retry recovers
-	// from. 0 means unsealed (accepted for mixed-version tolerance).
+	// Sum is the FNV-1a checksum of the message's encoding with Sum
+	// zeroed (see seal). A corrupted transfer that still decodes as
+	// JSON — a flipped byte inside a string value — would otherwise
+	// merge garbage into the campaign; the checksum turns every
+	// corruption into a rejection the worker's retry recovers from. 0
+	// means unsealed (accepted for mixed-version tolerance).
 	Sum uint64 `json:"sum,omitempty"`
 }
 
-// Seal stamps the message's integrity checksum; call it last, after
-// every other field is final.
-func (m *CompleteMsg) Seal() error {
-	m.Sum = 0
-	sum, err := checksum(m)
-	m.Sum = sum
-	return err
-}
-
-// Verify checks the integrity checksum of a received message. Unsealed
-// messages (Sum 0) pass.
-func (m CompleteMsg) Verify() bool {
-	sum := m.Sum
-	m.Sum = 0
-	return verifySum(m, sum)
-}
-
-// checksum is the FNV-1a sum of v's JSON encoding; the caller zeroes
-// v's Sum field first.
-func checksum(v any) (uint64, error) {
+// seal encodes a wire message — a JSON object whose last field is its
+// zero `Sum uint64 json:"sum,omitempty"` — once, checksums those bytes,
+// and splices the sum in as the last field: the bytes the receiver's
+// verifySealed checks. The message must encode at least one field
+// before Sum.
+func seal(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return fnv1a.Bytes(b), nil
+	sum := fnv1a.Bytes(b)
+	b = append(b[:len(b)-1], `,"sum":`...)
+	b = strconv.AppendUint(b, sum, 10)
+	return append(b, '}'), nil
 }
 
-// verifySum reports whether v, its Sum field zeroed, checksums to sum;
-// sum 0 (unsealed) always passes.
-func verifySum(v any, sum uint64) bool {
-	if sum == 0 {
-		return true
+// encodeJobs dictionary-codes the shard jobs idx of all: each distinct
+// command is entered once, in first-use order, and each job becomes
+// its pacing, start URL and refs.
+func encodeJobs(all []campaign.Job, idx []int) ([]wireCommand, []WireJob) {
+	dict := make(map[command.Command]int32)
+	var cmds []wireCommand
+	wjobs := make([]WireJob, len(idx))
+	for i, ji := range idx {
+		j := all[ji]
+		refs := make([]int32, len(j.Trace.Commands))
+		for k, c := range j.Trace.Commands {
+			ref, ok := dict[c]
+			if !ok {
+				ref = int32(len(cmds))
+				dict[c] = ref
+				cmds = append(cmds, wireCommand(c))
+			}
+			refs[k] = ref
+		}
+		wjobs[i] = WireJob{Pacing: j.Pacing, StartURL: j.Trace.StartURL, Refs: refs}
 	}
-	got, err := checksum(v)
-	return err == nil && got == sum
+	return cmds, wjobs
+}
+
+// expandJobs rebuilds a lease's campaign jobs from its dictionary. A
+// ref outside the dictionary makes the whole lease malformed.
+func (l *WireLease) expandJobs() ([]campaign.Job, error) {
+	cjobs := make([]campaign.Job, len(l.Jobs))
+	for i, wj := range l.Jobs {
+		cmds := make([]command.Command, len(wj.Refs))
+		for k, ref := range wj.Refs {
+			if ref < 0 || int(ref) >= len(l.Commands) {
+				return nil, fmt.Errorf("distrib: lease job %d command %d: ref %d outside a %d-command dictionary",
+					i, k, ref, len(l.Commands))
+			}
+			cmds[k] = command.Command(l.Commands[ref])
+		}
+		cjobs[i] = campaign.Job{Trace: command.Trace{StartURL: wj.StartURL, Commands: cmds}, Pacing: wj.Pacing}
+	}
+	return cjobs, nil
+}
+
+// decodeLease decodes a lease reply, verifies its seal against the
+// bytes it arrived as, and expands its jobs. Any failure is a failed
+// poll: the worker's next poll forfeits the grant it never received.
+func decodeLease(body []byte) (*WireLease, []campaign.Job, error) {
+	var l WireLease
+	if err := json.Unmarshal(body, &l); err != nil {
+		return nil, nil, err
+	}
+	if !verifySealed(body, l.Sum) {
+		return nil, nil, errors.New("distrib: lease reply failed checksum verification")
+	}
+	cjobs, err := l.expandJobs()
+	if err != nil {
+		return nil, nil, err
+	}
+	return &l, cjobs, nil
 }
 
 // wireReplayer extracts the serializable subset of replayer options

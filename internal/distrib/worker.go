@@ -3,7 +3,6 @@ package distrib
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -144,7 +143,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		l, err := w.lease(ctx)
+		l, cjobs, err := w.lease(ctx)
 		if err != nil {
 			// A failing poll backs off exponentially (with jitter, up to
 			// RetryCap) so a fleet does not hammer a struggling
@@ -176,7 +175,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if l.Campaign == "load" {
 			msg.LoadResults = w.executeLoad(ctx, l)
 		} else {
-			msg.Outcomes = w.execute(ctx, l)
+			msg.Outcomes = w.execute(ctx, l, cjobs)
 		}
 		if ctx.Err() != nil {
 			// Dying mid-shard: report nothing. Partial outcomes must not
@@ -229,49 +228,39 @@ func (w *Worker) retry(ctx context.Context, what string, fn func() error) error 
 	return err
 }
 
-// lease polls the coordinator for work.
-func (w *Worker) lease(ctx context.Context) (*WireLease, error) {
+// lease polls the coordinator for work, returning the reply and the
+// shard's jobs expanded from its command dictionary.
+func (w *Worker) lease(ctx context.Context) (*WireLease, []campaign.Job, error) {
 	rctx, cancel := context.WithTimeout(ctx, w.opts.RequestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost,
 		w.base+"/lease?worker="+url.QueryEscape(w.opts.ID), nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resp, err := w.opts.Client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("distrib: lease poll: %s", resp.Status)
+		return nil, nil, fmt.Errorf("distrib: lease poll: %s", resp.Status)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var l WireLease
-	if err := json.Unmarshal(body, &l); err != nil {
-		return nil, err
-	}
-	if !verifySealed(body, l.Sum) {
-		return nil, errors.New("distrib: lease reply failed checksum verification")
-	}
-	return &l, nil
+	return decodeLease(body)
 }
 
 // execute runs one leased shard: replay its shared prefix in a fresh
 // world and continue the subtree (campaign.Executor.ExecuteShard). A
 // heartbeat loop keeps the lease alive for the duration.
-func (w *Worker) execute(ctx context.Context, l *WireLease) []jobs.OutcomeEvent {
+func (w *Worker) execute(ctx context.Context, l *WireLease, cjobs []campaign.Job) []jobs.OutcomeEvent {
 	hctx, stop := context.WithCancel(ctx)
 	defer stop()
 	go w.heartbeat(hctx, l)
 
-	cjobs := make([]campaign.Job, len(l.Jobs))
-	for i, wj := range l.Jobs {
-		cjobs[i] = campaign.Job{Trace: wj.Trace, Pacing: wj.Pacing}
-	}
 	outs := w.executor(l).ExecuteShard(ctx, cjobs, l.Depth)
 	evs := make([]jobs.OutcomeEvent, len(outs))
 	for i, out := range outs {
@@ -379,10 +368,7 @@ func (w *Worker) complete(ctx context.Context, msg CompleteMsg) error {
 		// into the report, and seal last: the checksum covers the final
 		// shape, so a transfer flipping any byte is rejected server-side.
 		msg.Retries += w.retries.Swap(0)
-		if err := msg.Seal(); err != nil {
-			return err
-		}
-		body, err := json.Marshal(msg)
+		body, err := seal(msg)
 		if err != nil {
 			return err
 		}

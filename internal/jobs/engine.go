@@ -421,38 +421,41 @@ func (e *Engine) run(job *Job) {
 	default:
 		err = fmt.Errorf("jobs: unknown job kind %d", job.Spec.Kind)
 	}
+	state := StateDone
 	switch {
 	case err != nil:
 		job.mu.Lock()
 		job.err = err
 		job.mu.Unlock()
-		job.setState(StateFailed)
+		state = StateFailed
 	case context.Cause(job.ctx) != nil:
 		job.mu.Lock()
 		if job.cause == nil {
 			job.cause = context.Cause(job.ctx)
 		}
 		job.mu.Unlock()
-		job.setState(StateCancelled)
-	default:
-		job.setState(StateDone)
+		state = StateCancelled
 	}
-	e.journalFinish(job)
+	// Journal the terminal transition before publishing it: Wait and the
+	// terminal frame must never run ahead of the record that keeps a
+	// crash from reviving the job. Both publish the event journaled.
+	ev := job.stateEvent(state)
+	e.journalFinish(job, state, ev)
+	job.commitState(state, ev)
 	job.bus.Close()
 }
 
-// journalFinish records a job's terminal state in the write-ahead
-// journal, first checkpointing a cancelled single-session replay's
-// world so revival can resume mid-trace instead of re-running. A
-// capture that fails only costs the checkpoint — the job still revives
-// as a full re-run.
-func (e *Engine) journalFinish(job *Job) {
+// journalFinish records a job's terminal state, announced by ev, in the
+// write-ahead journal, first checkpointing a cancelled single-session
+// replay's world so revival can resume mid-trace instead of re-running.
+// A capture that fails only costs the checkpoint — the job still
+// revives as a full re-run.
+func (e *Engine) journalFinish(job *Job, state State, ev StateEvent) {
 	j := e.opts.Journal
 	if j == nil || !journalable(job.Spec) {
 		return
 	}
 	job.mu.Lock()
-	state, cause, err := job.state, job.cause, job.err
 	sess := job.session
 	job.mu.Unlock()
 	if state == StateCancelled && sess != nil && job.Spec.Kind == KindReplay {
@@ -464,12 +467,5 @@ func (e *Engine) journalFinish(job *Job) {
 			j.note(journalRecord{Rec: "checkpoint", Job: job.ID, Image: data})
 		}
 	}
-	rec := journalRecord{Rec: "state", Job: job.ID, State: state.String()}
-	if cause != nil {
-		rec.Cause = cause.Error()
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	j.note(rec)
+	j.note(journalRecord{Rec: "state", Job: job.ID, State: ev.State, Cause: ev.Cause, Error: ev.Error})
 }

@@ -376,9 +376,33 @@ func (j *Job) Wait(ctx context.Context) error {
 	}
 }
 
-// setState transitions the job and publishes the StateEvent; terminal
-// states release Wait.
+// setState transitions the job and publishes the StateEvent.
 func (j *Job) setState(s State) {
+	j.commitState(s, j.stateEvent(s))
+}
+
+// stateEvent builds the StateEvent announcing s, carrying the job's
+// cancellation cause and runner failure.
+func (j *Job) stateEvent(s State) StateEvent {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.stateEventLocked(s)
+}
+
+func (j *Job) stateEventLocked(s State) StateEvent {
+	ev := StateEvent{Type: "state", Job: j.ID, Kind: j.Spec.Kind.String(), State: s.String()}
+	if j.cause != nil {
+		ev.Cause = j.cause.Error()
+	}
+	if j.err != nil {
+		ev.Error = j.err.Error()
+	}
+	return ev
+}
+
+// commitState records s as the job's state and publishes ev, the event
+// announcing it; a terminal state releases Wait.
+func (j *Job) commitState(s State, ev StateEvent) {
 	j.mu.Lock()
 	j.state = s
 	switch s {
@@ -389,7 +413,7 @@ func (j *Job) setState(s State) {
 	}
 	terminal := s == StateDone || s == StateFailed || s == StateCancelled
 	j.mu.Unlock()
-	j.publishState()
+	j.bus.Publish(ev)
 	if terminal {
 		close(j.doneCh)
 	}
@@ -398,13 +422,7 @@ func (j *Job) setState(s State) {
 // publishState emits a StateEvent for the job's current state.
 func (j *Job) publishState() {
 	j.mu.Lock()
-	ev := StateEvent{Type: "state", Job: j.ID, Kind: j.Spec.Kind.String(), State: j.state.String()}
-	if j.cause != nil {
-		ev.Cause = j.cause.Error()
-	}
-	if j.err != nil {
-		ev.Error = j.err.Error()
-	}
+	ev := j.stateEventLocked(j.state)
 	j.mu.Unlock()
 	j.bus.Publish(ev)
 }

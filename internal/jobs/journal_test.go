@@ -342,6 +342,95 @@ func TestJournalSkipsUserCancelledJobs(t *testing.T) {
 	}
 }
 
+// TestTerminalRecordPrecedesPublication pins the terminal commit
+// order: by the time Wait returns, and by the time a subscriber sees
+// the terminal state frame, the journal already holds the job's
+// terminal state record — for done, failed and cancelled jobs alike.
+// Publishing first would let a crash in between revive a job its
+// client already saw finish.
+func TestTerminalRecordPrecedesPublication(t *testing.T) {
+	tr := recordScenario(t, apps.AuthenticateScenario())
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	j, _, err := OpenJournal(path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	e := New(Options{Workers: 1, QueueDepth: 4, Journal: j})
+	defer e.Close()
+
+	journaled := func(job *Job, state string) bool {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf(`{"rec":"state","job":%q,"state":%q`, job.ID, state)
+		return strings.Contains(string(data), want)
+	}
+	stepped := make(chan struct{}, len(tr.Commands))
+	slow := Spec{Kind: KindReplay, Trace: tr, Replayer: replayer.Options{
+		Hooks: []replayer.Hooks{{
+			AfterStep: func(replayer.Step, *browser.Tab) {
+				stepped <- struct{}{}
+				time.Sleep(10 * time.Millisecond)
+			},
+		}},
+	}}
+	cases := []struct {
+		state string
+		spec  Spec
+	}{
+		{"done", Spec{Kind: KindReplay, Trace: tr}},
+		{"failed", Spec{Kind: KindLoadCampaign, Workload: "no-such-workload"}},
+		{"cancelled", slow},
+	}
+	for _, c := range cases {
+		job, err := e.Submit(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A subscriber checks the journal the moment the terminal frame
+		// arrives.
+		frameOK := make(chan bool, 1)
+		ch, stop := job.Events().Subscribe(0)
+		go func() {
+			defer stop()
+			for ev := range ch {
+				if se, ok := ev.(StateEvent); ok && se.State == c.state {
+					frameOK <- journaled(job, c.state)
+					return
+				}
+			}
+			frameOK <- false
+		}()
+		if c.state == "cancelled" {
+			select {
+			case <-stepped:
+			case <-time.After(30 * time.Second):
+				t.Fatal("the slow replay never started stepping")
+			}
+			if err := e.Cancel(job.ID, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitJob(t, job)
+		if got := job.State().String(); got != c.state {
+			t.Fatalf("%s: job ended %s", c.state, got)
+		}
+		if !journaled(job, c.state) {
+			t.Errorf("%s: Wait returned before the terminal record was journaled", c.state)
+		}
+		select {
+		case ok := <-frameOK:
+			if !ok {
+				t.Errorf("%s: the terminal frame was published before its journal record", c.state)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: no terminal frame", c.state)
+		}
+	}
+}
+
 // TestJournalTornTailRecovery pins the corrupted-journal contract: the
 // torn or garbled last write of a crash is detected, warned about, and
 // truncated away — never a panic, and never poison for the records
