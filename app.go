@@ -46,9 +46,9 @@ type AppState = registry.AppState
 // JSON-tagged struct holding every mutable field, and the WebServer
 // whose sessions belong to the state. From that one declaration the
 // registry derives the in-memory fork (Env.Fork, which lets campaigns
-// share trace prefixes instead of re-executing them) and the durable
-// WARR-IMAGE codec (replay checkpoints, the corpus). States without it
-// still work everywhere; forking and imaging fall back to
+// share trace prefixes instead of re-executing them), the canonical
+// environment image tests compare worlds by, and the reset. States
+// without it still work everywhere; forking falls back to
 // fresh-environment prefix replay, the flat campaign path.
 type AppDeclarer = registry.Declarer
 
@@ -61,7 +61,7 @@ type NotDeclaredError = registry.NotDeclaredError
 // states implementing it report their semantic state transitions as
 // stable marks, which the error-model fuzzing campaign folds into its
 // replay-coverage fingerprint. CoverageMarks must be a pure function of
-// the state — forked or image-restored worlds report the same marks.
+// the state — forked worlds report the same marks.
 // States without it still fuzz; candidate dedup just degrades to the
 // trace-digest lane (weberr -list shows which apps implement it).
 type AppCoverageSource = registry.CoverageSource

@@ -67,8 +67,8 @@ type State struct {
 }
 
 // stateData is the calendar's mutable state, declared once: the
-// registry derives the fork copy, the durable image and the reset from
-// it (warr.AppDeclarer).
+// registry derives the fork copy, the environment image and the reset
+// from it (warr.AppDeclarer).
 type stateData struct {
 	Events []Event `json:"events"`
 }
@@ -87,7 +87,7 @@ func NewState() *State {
 func (s *State) Handler() warr.WebHandler { return s.srv }
 
 // Declare implements warr.AppDeclarer, making calendar-hosting
-// environments forkable and imageable like the built-in applications.
+// environments forkable like the built-in applications.
 func (s *State) Declare() (*sync.Mutex, any, *warr.WebServer) { return &s.mu, &s.data, s.srv }
 
 // CoverageMarks implements warr.AppCoverageSource: one mark per stored

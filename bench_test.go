@@ -18,7 +18,6 @@ package warr_test
 //	BenchmarkNavigationCampaign*        — campaign executor at Parallelism 1 vs the work-sharing pool
 //	BenchmarkEnvFork                    — one environment checkpoint (trie scheduler unit cost)
 //	BenchmarkCampaignSharedPrefix*      — trace-trie scheduler vs the flat-executor ablation
-//	BenchmarkImageWriteRead             — WARR-IMAGE serialize + restore round trip (checkpoint cost)
 //	BenchmarkCampaignDistributed        — the full campaign through the coordinator/worker wire protocol
 //	BenchmarkCampaignDistributedLongTrace — the same over a 119-command base (deep shard prefixes)
 //	BenchmarkFuzzCampaign               — one budgeted coverage-guided error-model fuzzing campaign
@@ -45,7 +44,6 @@ import (
 	"github.com/dslab-epfl/warr/internal/errmodel"
 	"github.com/dslab-epfl/warr/internal/experiments"
 	"github.com/dslab-epfl/warr/internal/humanerr"
-	"github.com/dslab-epfl/warr/internal/image"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/replayer"
 	"github.com/dslab-epfl/warr/internal/weberr"
@@ -530,53 +528,6 @@ func benchSharedPrefixCampaign(b *testing.B, disableSharing bool) {
 		}
 	}
 	b.ReportMetric(float64(replays), "replays")
-}
-
-// BenchmarkImageWriteRead measures one durable world checkpoint and
-// its restore: capture the forked world mid-replay of the edit-site
-// trace, serialize it to WARR-IMAGE bytes (checksummed sections
-// included), decode and validate those bytes, and restore a runnable
-// environment plus replay session from them — the round trip a
-// cancelled replay job's journal checkpoint takes.
-func BenchmarkImageWriteRead(b *testing.B) {
-	edit, _ := benchTraces(b)
-	env := warr.NewDemoEnv(warr.DeveloperMode)
-	s, err := warr.NewReplaySession(nil, env.Browser, edit, warr.ReplayOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The same mid-trace point BenchmarkEnvFork checkpoints: the Edit
-	// click has queued the editor fetch, so the image carries pending
-	// AJAX — the expensive, realistic world.
-	for i := 0; i < len(edit.Commands)/2; i++ {
-		if _, ok := s.Next(); !ok {
-			b.Fatal("session ended early")
-		}
-	}
-	var size int
-	b.ReportAllocs()
-	gcSettle()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		img, err := image.Capture(env, s, image.Header{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		data, _, err := image.Encode(img)
-		if err != nil {
-			b.Fatal(err)
-		}
-		size = len(data)
-		decoded, _, err := image.Decode(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := image.LoadSession(decoded, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(size), "image-bytes")
 }
 
 // BenchmarkCampaignDistributed runs the edit-site navigation campaign

@@ -12,18 +12,10 @@
 //
 // Usage:
 //
-//	warr-corpus -verify               # replay all archives + images, diff against goldens (CI gate)
+//	warr-corpus -verify               # replay all archives, diff against goldens (CI gate)
 //	warr-corpus -update               # regenerate goldens after a deliberate behavior change
-//	warr-corpus -record               # re-record all archives (and world images) from their scenarios
+//	warr-corpus -record               # re-record all archives from their scenarios
 //	warr-corpus -run edit-site.warr   # print one archive's outcome JSON
-//	warr-corpus -run edit-site.image  # print one world image's restore outcome JSON
-//
-// Besides trace archives the corpus pins committed WARR-IMAGE world
-// images — the durable forked-world format of replay-job checkpoints.
-// -verify decodes the
-// committed bytes (checksum and version validation), checks their
-// content digest against the golden, and resumes the restored session
-// to completion, so images stay restorable across builds.
 package main
 
 import (
@@ -67,21 +59,11 @@ func main() {
 func run(dir string, verify, update, record bool, runOne string) error {
 	switch {
 	case runOne != "":
-		var b []byte
-		var err error
-		if strings.HasSuffix(runOne, trace.ImageExt) {
-			out, rerr := trace.RunImage(runOne)
-			if rerr != nil {
-				return rerr
-			}
-			b, err = trace.MarshalImageOutcome(out)
-		} else {
-			out, rerr := trace.RunArchive(runOne)
-			if rerr != nil {
-				return rerr
-			}
-			b, err = trace.MarshalOutcome(out)
+		out, err := trace.RunArchive(runOne)
+		if err != nil {
+			return err
 		}
+		b, err := trace.MarshalOutcome(out)
 		if err != nil {
 			return err
 		}

@@ -44,7 +44,7 @@ type guestbookState struct {
 
 // guestbookData declares every mutable field of the guestbook once.
 // The registry derives the rest from it: Env.Fork deep-copies it (so
-// campaigns share trace prefixes via checkpoints), world images
+// campaigns share trace prefixes via checkpoints), environment images
 // serialize its JSON, and Env.Reset rebuilds it with NewState.
 type guestbookData struct {
 	Entries []string `json:"entries"`

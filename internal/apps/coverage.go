@@ -13,8 +13,8 @@ import (
 // applications: the per-app state-transition lane of the replay
 // coverage signal. Each state derives one 64-bit mark per distinct
 // observable fact — a stored page, a sent mail, a served query, a
-// bucketed counter — purely from its current contents, so a forked or
-// image-restored world reports exactly the marks of the original.
+// bucketed counter — purely from its current contents, so a forked
+// world reports exactly the marks of the original.
 
 // coverMark hashes a labelled tuple of strings into one coverage mark.
 // A NUL separator between parts keeps ("ab","c") distinct from

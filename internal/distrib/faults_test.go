@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -165,6 +167,114 @@ func TestFaultScheduleConvergence(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// distributedOK wraps a pool and records whether its last campaign
+// finished distributed rather than handing the plan back.
+type distributedOK struct {
+	*Pool
+	ok atomic.Bool
+}
+
+func (d *distributedOK) DistributeCampaign(ctx context.Context, exec *campaign.Executor, plan []campaign.Job, spec jobs.DistSpec) ([]campaign.Outcome, bool) {
+	out, ok := d.Pool.DistributeCampaign(ctx, exec, plan, spec)
+	d.ok.Store(ok)
+	return out, ok
+}
+
+// TestPoolCorruptedLeaseIsRefused arms the coordinator with
+// corrupt:lease/1 and makes a shard grant the first lease reply the
+// pool serves: the worker must refuse the damaged grant on its seal,
+// poll again (forfeiting the lease, so the shard is granted afresh),
+// and the campaign must still finish distributed with flat's findings.
+func TestPoolCorruptedLeaseIsRefused(t *testing.T) {
+	sc := apps.TableIIScenarios()[0]
+	_, g := scenarioGrammar(t, sc)
+	flatEngine := jobs.New(jobs.Options{Workers: 1, QueueDepth: 8})
+	flat := runCampaign(t, flatEngine, jobs.Spec{
+		Kind: jobs.KindNavigationCampaign, Grammar: g,
+		Parallelism: 1, DisablePrefixSharing: true,
+	})
+	flatEngine.Close()
+
+	sched, err := faults.Parse("corrupt:lease/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := faults.NewInjector(sched, t.Logf)
+	pool := NewPool(PoolOptions{LeaseTTL: 5 * time.Second, Faults: in, Logf: t.Logf})
+	srv := httptest.NewServer(pool.Handler())
+	defer srv.Close()
+	worker := faultWorkerNames(1)[0]
+	// A heartbeat connects the worker without spending a lease ordinal.
+	resp, err := http.Post(srv.URL+"/heartbeat?worker="+worker, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	dist := &distributedOK{Pool: pool}
+	engine := jobs.New(jobs.Options{Workers: 1, QueueDepth: 8, Distributor: dist})
+	defer engine.Close()
+	job, err := engine.Submit(jobs.Spec{Kind: jobs.KindNavigationCampaign, Grammar: g, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		pool.mu.Lock()
+		queued := pool.run != nil && len(pool.run.queue) > 0
+		pool.mu.Unlock()
+		if queued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the campaign never queued a shard")
+		}
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := NewWorker(WorkerOptions{
+		Coordinator: srv.URL, ID: worker,
+		PollInterval: 2 * time.Millisecond, RetryBase: 2 * time.Millisecond, RetryCap: 50 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	wctx, wcancel := context.WithTimeout(context.Background(), time.Minute)
+	defer wcancel()
+	if err := job.Wait(wctx); err != nil {
+		t.Fatalf("campaign did not converge: %v", err)
+	}
+	if err := job.Err(); err != nil {
+		t.Fatalf("campaign failed: %v", err)
+	}
+	if !dist.ok.Load() {
+		t.Fatal("the campaign fell back to local execution")
+	}
+	assertFindingsEqual(t, "corrupt:lease/1", flat, job.Report())
+	if got := in.Fired()["corrupt"]; got != 1 {
+		t.Errorf("corrupt fired %d times, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, "lease poll:") }) {
+		t.Errorf("the worker accepted the corrupted grant; its log:\n%s", strings.Join(logs, "\n"))
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/faults"
-	"github.com/dslab-epfl/warr/internal/image"
 	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/multiuser"
 )
@@ -126,11 +125,25 @@ func NewPool(opts PoolOptions) *Pool {
 // gets 404 and replays its shard flat.
 func (p *Pool) Handler() http.Handler { return p.mux }
 
-// Store returns an empty image store.
+// EmptyStore is what Store returns: a store that never holds anything.
 //
-// Deprecated: shards no longer carry world images; workers replay each
-// shard's shared prefix instead, so the pool stores no image.
-func (p *Pool) Store() *image.Store { return image.NewStore() }
+// Deprecated: kept only so existing metric readers still compile.
+type EmptyStore struct{}
+
+// Len returns 0.
+func (EmptyStore) Len() int { return 0 }
+
+// Digests returns no digest.
+func (EmptyStore) Digests() []string { return nil }
+
+// Bytes finds nothing.
+func (EmptyStore) Bytes(string) ([]byte, bool) { return nil, false }
+
+// Store returns an empty store.
+//
+// Deprecated: shards carry no world state; workers replay each shard's
+// shared prefix instead, so the pool stores nothing.
+func (p *Pool) Store() EmptyStore { return EmptyStore{} }
 
 func (p *Pool) logf(format string, args ...any) {
 	if p.opts.Logf != nil {
@@ -629,7 +642,8 @@ func (p *Pool) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "distrib: lease poll without worker id", http.StatusBadRequest)
 		return
 	}
-	if _, ok := p.inject(w, r, faults.PathLease); !ok {
+	act, ok := p.inject(w, r, faults.PathLease)
+	if !ok {
 		return
 	}
 	p.touch(worker)
@@ -642,6 +656,11 @@ func (p *Pool) handleLease(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, fmt.Sprintf("distrib: sealing lease: %v", err), http.StatusInternalServerError)
 		return
+	}
+	if act.Corrupt {
+		// The worker's seal check must refuse the damaged grant; its
+		// next poll forfeits the lease and the shard is granted again.
+		body = faults.CorruptBody(body)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(body)

@@ -5,10 +5,8 @@
 // crashes — so the coordinator/worker protocol can be proven
 // convergent under any schedule, not just in the absence of faults.
 //
-// A schedule is a ";"-separated list of ops over the four wire paths
-// (lease, image, complete, heartbeat). image is the branch-point image
-// download of older coordinators; it still parses, but current
-// coordinators ship no images, so its ops never fire.
+// A schedule is a ";"-separated list of ops over the three wire paths
+// (lease, complete, heartbeat).
 //
 //	drop:lease/2            fail the 2nd lease request outright
 //	delay:heartbeat/50ms    delay every heartbeat by 50ms
@@ -54,25 +52,24 @@ const (
 // Identity is the canonical spelling of the empty schedule.
 const Identity = "none"
 
-// Path names one of the four distrib wire paths faults can land on.
+// Path names one of the three distrib wire paths faults can land on.
 type Path string
 
 // The injectable wire paths.
 const (
 	PathLease     Path = "lease"
-	PathImage     Path = "image"
 	PathComplete  Path = "complete"
 	PathHeartbeat Path = "heartbeat"
 )
 
 // Paths lists every injectable wire path, in protocol order.
 func Paths() []Path {
-	return []Path{PathLease, PathImage, PathComplete, PathHeartbeat}
+	return []Path{PathLease, PathComplete, PathHeartbeat}
 }
 
 func validPath(p Path) bool {
 	switch p {
-	case PathLease, PathImage, PathComplete, PathHeartbeat:
+	case PathLease, PathComplete, PathHeartbeat:
 		return true
 	}
 	return false
@@ -96,7 +93,7 @@ func (d Drop) String() string { return fmt.Sprintf("drop:%s/%d", d.Path, d.N) }
 func (Drop) isOp()            {}
 
 // Delay holds every request on a wire path for Dur before it is
-// served — skewed heartbeats, slow image transfers, raced completions.
+// served — skewed heartbeats, slow lease grants, raced completions.
 type Delay struct {
 	Path Path
 	Dur  time.Duration
@@ -105,8 +102,8 @@ type Delay struct {
 func (d Delay) String() string { return fmt.Sprintf("delay:%s/%s", d.Path, d.Dur) }
 func (Delay) isOp()            {}
 
-// Corrupt flips a byte in the N-th transfer on a wire path: a truncated
-// or mangled image download, a garbled completion body. The receiver
+// Corrupt flips a byte in the N-th transfer on a wire path: a mangled
+// lease grant, a garbled completion body. The receiver
 // must detect the damage (content digests, strict decoding) and recover
 // by retrying or re-queueing — never by merging garbage.
 type Corrupt struct {

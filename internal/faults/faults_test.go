@@ -15,13 +15,13 @@ func TestParseRoundTrip(t *testing.T) {
 		"none",
 		"drop:lease/1",
 		"drop:heartbeat/4096",
-		"delay:image/50ms",
+		"delay:lease/50ms",
 		"delay:complete/1.5s",
 		"corrupt:complete/1",
-		"corrupt:image/2",
+		"corrupt:lease/2",
 		"crash:worker1@shard3",
 		"crash:chaos-a.1_x@shard1",
-		"drop:lease/2;delay:image/50ms;crash:worker1@shard3;corrupt:complete/1",
+		"drop:lease/2;delay:heartbeat/50ms;crash:worker1@shard3;corrupt:complete/1",
 	}
 	for _, s := range cases {
 		sched, err := Parse(s)
@@ -44,11 +44,13 @@ func TestParseRejects(t *testing.T) {
 		"drop:lease/007",    // non-canonical number
 		"drop:lease/4097",   // over MaxOrdinal
 		"drop:queue/1",      // unknown path
+		"delay:image/50ms",  // retired path: no coordinator serves images
+		"corrupt:image/1",   // retired path
 		"drop:lease",        // missing ordinal
-		"delay:image/0s",    // non-positive delay
-		"delay:image/11s",   // over MaxDelay
-		"delay:image/0.05s", // non-canonical duration (50ms)
-		"delay:image/50",    // unitless duration
+		"delay:lease/0s",    // non-positive delay
+		"delay:lease/11s",   // over MaxDelay
+		"delay:lease/0.05s", // non-canonical duration (50ms)
+		"delay:lease/50",    // unitless duration
 		"crash:@shard1",     // empty worker
 		"crash:w1",          // missing @shardN
 		"crash:w;x@shard1",  // metacharacter in name (split first)
@@ -65,7 +67,7 @@ func TestParseRejects(t *testing.T) {
 }
 
 func TestInjectorOrdinalsAreDeterministic(t *testing.T) {
-	sched, err := Parse("drop:lease/2;corrupt:image/1;delay:complete/1ms")
+	sched, err := Parse("drop:lease/2;corrupt:heartbeat/1;delay:complete/1ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +82,8 @@ func TestInjectorOrdinalsAreDeterministic(t *testing.T) {
 		if act := in.Request(PathLease); !act.Zero() {
 			t.Fatalf("run %d: 3rd lease request got %+v, want nothing", run, act)
 		}
-		if act := in.Request(PathImage); !act.Corrupt {
-			t.Fatalf("run %d: 1st image request not corrupted", run)
+		if act := in.Request(PathHeartbeat); !act.Corrupt {
+			t.Fatalf("run %d: 1st heartbeat request not corrupted", run)
 		}
 		if act := in.Request(PathComplete); time.Duration(act.Delay) != time.Millisecond {
 			t.Fatalf("run %d: complete delay = %v, want 1ms", run, time.Duration(act.Delay))
@@ -149,24 +151,6 @@ func TestGenerateRoundTripsAndReproduces(t *testing.T) {
 			t.Fatalf("seed %d: round trip changed %q -> %q", seed, s, parsed.String())
 		}
 	}
-	// Generated ops land only on paths current coordinators serve: an
-	// op on the retired image path would never fire.
-	for seed := int64(0); seed < 64; seed++ {
-		for _, op := range Generate(seed, GenOptions{Workers: workers}) {
-			var p Path
-			switch op := op.(type) {
-			case Drop:
-				p = op.Path
-			case Delay:
-				p = op.Path
-			case Corrupt:
-				p = op.Path
-			}
-			if p == PathImage {
-				t.Fatalf("seed %d generated %s on the retired image path", seed, op)
-			}
-		}
-	}
 	// Without workers, no crash ops appear (a client-side transport
 	// cannot observe lease grants).
 	for seed := int64(0); seed < 64; seed++ {
@@ -186,7 +170,7 @@ func TestTransportInjects(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	sched, err := Parse("drop:lease/1;corrupt:image/1;delay:heartbeat/1ms")
+	sched, err := Parse("drop:lease/1;corrupt:lease/3;delay:heartbeat/1ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,15 +193,15 @@ func TestTransportInjects(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Corrupted: body differs from what the server sent.
-	resp, err = client.Get(ts.URL + "/api/distrib/image/abc123")
+	// Corrupted: a lease poll sends no body, so its reply takes the hit.
+	resp, err = client.Post(ts.URL+"/api/distrib/lease", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if string(body) == "payload-bytes" {
-		t.Fatal("corrupted image body arrived intact")
+		t.Fatal("corrupted lease reply arrived intact")
 	}
 	if len(body) != len("payload-bytes") {
 		t.Fatalf("corruption changed the body length: %d", len(body))

@@ -20,15 +20,15 @@ func FuzzFaultSchedule(f *testing.F) {
 	for _, seed := range []string{
 		"none",
 		"drop:lease/2",
-		"delay:image/50ms",
+		"delay:heartbeat/50ms",
 		"corrupt:complete/1",
 		"crash:worker1@shard3",
-		"drop:lease/2;delay:image/50ms;crash:worker1@shard3;corrupt:complete/1",
-		"crash:chaos-a@shard2;drop:lease/3;corrupt:image/1;delay:lease/5ms",
+		"drop:lease/2;delay:heartbeat/50ms;crash:worker1@shard3;corrupt:complete/1",
 		"crash:chaos-a@shard2;drop:lease/3;corrupt:complete/1;delay:lease/5ms",
 		"drop:lease/0",      // rejected: 1-based ordinals
 		"drop:lease/+1",     // rejected: non-canonical
-		"delay:image/0.05s", // rejected: non-canonical duration
+		"delay:lease/0.05s", // rejected: non-canonical duration
+		"delay:image/50ms",  // rejected: retired path
 		"",
 	} {
 		f.Add(seed)

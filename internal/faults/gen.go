@@ -18,13 +18,8 @@ type GenOptions struct {
 	Ops int
 }
 
-// livePaths are the wire paths current coordinators serve. PathImage
-// still parses, but nothing requests an image any more, so a generated
-// op on it would never fire.
-var livePaths = []Path{PathLease, PathComplete, PathHeartbeat}
-
 // Generate derives a deterministic fault schedule from a seed: a mix of
-// drops, delays, and corruptions over the live wire paths, plus worker
+// drops, delays, and corruptions over the wire paths, plus worker
 // crashes when opts.Workers is non-empty. The result always satisfies
 // the codec — Parse(Generate(seed, o).String()) round-trips — and the
 // same seed always yields the same schedule, so a failing corpus entry
@@ -49,11 +44,12 @@ func Generate(seed int64, opts GenOptions) Schedule {
 	if len(opts.Workers) > 0 {
 		kinds = 4
 	}
+	paths := Paths()
 	sched := make(Schedule, 0, nops)
 	// 1 + rng.Intn(nops) ops: never empty — the empty schedule is the
 	// baseline every other corpus entry is compared against.
 	for i, n := 0, 1+rng.Intn(nops); i < n; i++ {
-		p := livePaths[rng.Intn(len(livePaths))]
+		p := paths[rng.Intn(len(paths))]
 		switch rng.Intn(kinds) {
 		case 0:
 			sched = append(sched, Drop{Path: p, N: 1 + rng.Intn(4)})

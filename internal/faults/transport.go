@@ -11,9 +11,10 @@ import (
 // Transport is the client-side injection shim: an http.RoundTripper
 // that classifies each outgoing request by its distrib wire path and
 // applies the injector's verdict — delay before sending, drop instead
-// of sending, corrupt the transferred body. POST bodies (completions)
-// are corrupted on the way out; GET bodies (an older coordinator's
-// image downloads) on the way back — either way the receiver's strict decoding must catch it.
+// of sending, corrupt the transferred body. Request bodies (completions)
+// are corrupted on the way out; requests without one (lease polls) have
+// their reply corrupted on the way back — either way the receiver's
+// checksum or strict decoding must catch it.
 // Requests on paths the classifier does not recognize pass through
 // untouched, as does everything when Injector is nil.
 type Transport struct {
@@ -79,14 +80,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // Classify maps a request URL path to its distrib wire path: the last
-// segments of the coordinator mount ("…/lease", "…/image/{digest}",
-// "…/complete", "…/heartbeat"). ok is false for anything else.
+// segments of the coordinator mount ("…/lease", "…/complete",
+// "…/heartbeat"). ok is false for anything else.
 func Classify(urlPath string) (Path, bool) {
 	switch {
 	case strings.HasSuffix(urlPath, "/lease"):
 		return PathLease, true
-	case strings.Contains(urlPath, "/image/"):
-		return PathImage, true
 	case strings.HasSuffix(urlPath, "/complete"):
 		return PathComplete, true
 	case strings.HasSuffix(urlPath, "/heartbeat"):

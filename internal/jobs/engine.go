@@ -14,7 +14,6 @@ import (
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
-	"github.com/dslab-epfl/warr/internal/image"
 	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
@@ -34,8 +33,10 @@ var (
 	ErrJobFinished = errors.New("jobs: job already finished")
 	// ErrNotResumable rejects resuming a job that is not cancelled.
 	ErrNotResumable = errors.New("jobs: only a cancelled job can resume")
-	// CauseDrained is the cancellation cause jobs checkpointed by a
-	// deadline-bound drain carry; they resume like any cancelled job.
+	// CauseDrained is the cancellation cause of jobs a deadline-bound
+	// drain cut short. They resume like any cancelled job, and the next
+	// boot's journal recovery re-runs their spec. The message is stored
+	// in journals as the drained marker, so it never changes.
 	CauseDrained = errors.New("jobs: checkpointed by engine drain")
 )
 
@@ -176,13 +177,11 @@ func (e *Engine) Submit(spec Spec) (*Job, error) {
 	if spec.Mode == 0 {
 		spec.Mode = browser.DeveloperMode
 	}
-	return e.enqueue(spec, nil, nil)
+	return e.enqueue(spec, nil)
 }
 
 // enqueue creates the Job record and offers it to the queue.
-// resumeImage, when set, is an encoded checkpoint world the job's
-// runner resumes from (journal revival).
-func (e *Engine) enqueue(spec Spec, resumeFrom *Job, resumeImage []byte) (*Job, error) {
+func (e *Engine) enqueue(spec Spec, resumeFrom *Job) (*Job, error) {
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
@@ -190,18 +189,21 @@ func (e *Engine) enqueue(spec Spec, resumeFrom *Job, resumeImage []byte) (*Job, 
 	}
 	e.nextID++
 	job := &Job{
-		ID:          fmt.Sprintf("job-%d", e.nextID),
-		Spec:        spec,
-		bus:         NewBus(),
-		engine:      e,
-		doneCh:      make(chan struct{}),
-		resumeFrom:  resumeFrom,
-		resumeImage: resumeImage,
+		ID:         fmt.Sprintf("job-%d", e.nextID),
+		Spec:       spec,
+		bus:        NewBus(),
+		engine:     e,
+		doneCh:     make(chan struct{}),
+		resumeFrom: resumeFrom,
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	job.ctx, job.cancel = ctx, cancel
 	job.created = now()
 	job.state = StateQueued
+	// The queued frame goes in before a worker can see the job, so every
+	// stream opens with exactly one queued frame and the running frame
+	// always follows it. Nobody can subscribe before the id is returned.
+	job.bus.Publish(StateEvent{Type: "state", Job: job.ID, Kind: spec.Kind.String(), State: StateQueued.String()})
 	// The queue is buffered; a full buffer is backpressure, reported
 	// synchronously while the engine lock still excludes Drain from
 	// closing the channel underneath us.
@@ -221,7 +223,6 @@ func (e *Engine) enqueue(spec Spec, resumeFrom *Job, resumeImage []byte) (*Job, 
 		si := imageSpec(spec)
 		j.note(journalRecord{Rec: "submit", Job: job.ID, Spec: &si})
 	}
-	job.publishState()
 	return job, nil
 }
 
@@ -290,7 +291,7 @@ func (e *Engine) Resume(id string) (*Job, error) {
 		return nil, fmt.Errorf("jobs: %s already resumed as %s", id, resumed)
 	}
 	job.mu.Unlock()
-	nj, err := e.enqueue(job.Spec, job, nil)
+	nj, err := e.enqueue(job.Spec, job)
 	if err != nil {
 		return nil, err
 	}
@@ -306,11 +307,12 @@ func (e *Engine) Resume(id string) (*Job, error) {
 }
 
 // Revive resubmits journal-recovered jobs through the normal queue —
-// call it once after New, with the jobs OpenJournal returned. A
-// recovered replay job carrying a checkpoint image resumes from it;
-// everything else re-runs whole (campaign specs are seeded, so a re-run
-// reproduces the same findings — determinism is the checkpoint). Each
-// revival is journaled, so a second crash never revives twice.
+// call it once after New, with the jobs OpenJournal returned. Every
+// recovered job re-runs its journaled spec whole: replays run on the
+// virtual clock and campaign specs are seeded, so a re-run rebuilds the
+// same worlds and reproduces the same stream — the spec is the
+// checkpoint. Each revival is journaled, so a second crash never
+// revives twice.
 func (e *Engine) Revive(recovered []RecoveredJob) []*Job {
 	j := e.opts.Journal
 	var out []*Job
@@ -321,7 +323,7 @@ func (e *Engine) Revive(recovered []RecoveredJob) []*Job {
 			}
 			continue
 		}
-		job, err := e.enqueue(rj.Spec, nil, rj.Image)
+		job, err := e.enqueue(rj.Spec, nil)
 		if err != nil {
 			if j != nil {
 				j.warnf("jobs: reviving epoch %d %s: %v", rj.Epoch, rj.ID, err)
@@ -340,10 +342,10 @@ func (e *Engine) Revive(recovered []RecoveredJob) []*Job {
 
 // Drain shuts the engine down gracefully: no new submissions, queued
 // jobs still execute, running jobs finish — and if ctx expires first,
-// every unfinished job is checkpointed (cancelled with CauseDrained, so
-// its partial results are published and it remains resumable) rather
-// than dropped. Drain returns once every worker has exited; it is safe
-// to call more than once.
+// every unfinished job is cancelled with CauseDrained (its partial
+// results are published, it remains resumable, and a journal revives
+// it next boot) rather than dropped. Drain returns once every worker
+// has exited; it is safe to call more than once.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	if !e.draining {
@@ -364,7 +366,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 	}
-	// Deadline passed: checkpoint everything still unfinished. Sessions
+	// Deadline passed: cancel everything still unfinished. Sessions
 	// stop at their next command boundary, so the second wait is short.
 	for _, job := range e.Jobs() {
 		job.mu.Lock()
@@ -381,7 +383,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Close drains with immediate checkpointing: every unfinished job is
+// Close drains with no grace period: every unfinished job is
 // cancelled with CauseDrained and the engine waits for the workers.
 func (e *Engine) Close() {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -440,32 +442,18 @@ func (e *Engine) run(job *Job) {
 	// terminal frame must never run ahead of the record that keeps a
 	// crash from reviving the job. Both publish the event journaled.
 	ev := job.stateEvent(state)
-	e.journalFinish(job, state, ev)
+	e.journalFinish(job, ev)
 	job.commitState(state, ev)
 	job.bus.Close()
 }
 
 // journalFinish records a job's terminal state, announced by ev, in the
-// write-ahead journal, first checkpointing a cancelled single-session
-// replay's world so revival can resume mid-trace instead of re-running.
-// A capture that fails only costs the checkpoint — the job still
-// revives as a full re-run.
-func (e *Engine) journalFinish(job *Job, state State, ev StateEvent) {
+// write-ahead journal. A drain-cancelled job needs nothing more: its
+// journaled spec is its checkpoint, and revival re-runs it.
+func (e *Engine) journalFinish(job *Job, ev StateEvent) {
 	j := e.opts.Journal
 	if j == nil || !journalable(job.Spec) {
 		return
-	}
-	job.mu.Lock()
-	sess := job.session
-	job.mu.Unlock()
-	if state == StateCancelled && sess != nil && job.Spec.Kind == KindReplay {
-		if img, cerr := image.CaptureSession(sess, image.Header{}); cerr != nil {
-			j.warnf("jobs: checkpointing %s: %v", job.ID, cerr)
-		} else if data, _, eerr := image.Encode(img); eerr != nil {
-			j.warnf("jobs: encoding %s checkpoint: %v", job.ID, eerr)
-		} else {
-			j.note(journalRecord{Rec: "checkpoint", Job: job.ID, Image: data})
-		}
 	}
 	j.note(journalRecord{Rec: "state", Job: job.ID, State: ev.State, Cause: ev.Cause, Error: ev.Error})
 }

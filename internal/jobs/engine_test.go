@@ -605,6 +605,43 @@ func TestConcurrentEnqueueCancelDrain(t *testing.T) {
 	}
 }
 
+// TestEveryStreamOpensWithOneQueuedFrame pins the state frames of a
+// job's stream: exactly one queued frame opens it, even when a worker
+// picks the job up before Submit returns, and no state frame follows
+// the terminal one.
+func TestEveryStreamOpensWithOneQueuedFrame(t *testing.T) {
+	tr := recordScenario(t, apps.AuthenticateScenario())
+	tr.Commands = tr.Commands[:1]
+	e := New(Options{Workers: 2, QueueDepth: 64})
+	defer e.Close()
+	var submitted []*Job
+	for i := 0; i < 48; i++ {
+		job, err := e.Submit(Spec{Kind: KindReplay, Trace: tr, Replayer: replayer.Options{Pacing: replayer.PaceNone}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := e.Cancel(job.ID, nil); err != nil && !errors.Is(err, ErrJobFinished) {
+				t.Fatal(err)
+			}
+		}
+		submitted = append(submitted, job)
+	}
+	for _, job := range submitted {
+		waitJob(t, job)
+		var states []string
+		for _, ev := range drainEvents(t, job) {
+			if se, ok := ev.(StateEvent); ok {
+				states = append(states, se.State)
+			}
+		}
+		want := []string{"queued", "running", job.State().String()}
+		if strings.Join(states, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: state frames %v, want %v", job.ID, states, want)
+		}
+	}
+}
+
 // TestReportIngestionClassifiesConsoleError drives the AUsER pipeline:
 // a report of the Sites timing bug replays, minimizes, and classifies
 // as a console error, with the minimized reproducer still a prefix.

@@ -210,10 +210,8 @@ type Job struct {
 	doneCh chan struct{}
 
 	// resumeFrom is the cancelled job this one continues (nil for fresh
-	// jobs). resumeImage is the encoded checkpoint world a
-	// journal-revived job resumes from instead (nil otherwise).
-	resumeFrom  *Job
-	resumeImage []byte
+	// and journal-revived jobs).
+	resumeFrom *Job
 
 	mu       sync.Mutex
 	state    State
@@ -417,14 +415,6 @@ func (j *Job) commitState(s State, ev StateEvent) {
 	if terminal {
 		close(j.doneCh)
 	}
-}
-
-// publishState emits a StateEvent for the job's current state.
-func (j *Job) publishState() {
-	j.mu.Lock()
-	ev := j.stateEventLocked(j.state)
-	j.mu.Unlock()
-	j.bus.Publish(ev)
 }
 
 // now is the engine's wall clock (jobs run on real time; the simulated

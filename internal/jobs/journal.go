@@ -2,16 +2,17 @@ package jobs
 
 // The write-ahead job journal: warr-serve's crash safety. Every
 // journalable submission is appended (fsync'd) to an append-only
-// JSON-lines file before results exist, every terminal state follows
-// it, and cancelled replay jobs append their checkpoint image — so a
-// process killed without warning can, on the next boot, replay the
-// journal and resume every job whose work was lost.
+// JSON-lines file before results exist and every terminal state
+// follows it — so a process killed without warning can, on the next
+// boot, replay the journal and re-run every job whose work was lost.
+// The journaled spec is the checkpoint: jobs run on virtual time with
+// seeded randomness, so re-running a spec rebuilds the same worlds and
+// the same event stream (lineage, not a stored world).
 //
 // Format: one JSON object per line, distinguished by "rec":
 //
 //	{"rec":"boot"}                                — an epoch boundary, appended at every Open
 //	{"rec":"submit","job":"job-3","spec":{...}}   — an accepted journalable submission
-//	{"rec":"checkpoint","job":"job-3","image":..} — base64 world image of a cancelled replay
 //	{"rec":"state","job":"job-3","state":"done"}  — a terminal state (with cause/error)
 //	{"rec":"resumed","job":"job-3","as":"job-7"}  — job-3 continues as job-7
 //	{"rec":"revived","ofEpoch":2,"job":"job-3"}   — a prior epoch's job-3 was resubmitted
@@ -19,8 +20,13 @@ package jobs
 // Job ids restart at job-1 every boot, so jobs are keyed by
 // (epoch, id): the epoch is the count of boot records preceding the
 // submit. Recovery revives a job when it was submitted, never reached a
-// terminal state (or was checkpointed by a drain), was not resumed as a
+// terminal state (or was cancelled by a drain), was not resumed as a
 // newer job, and was not already revived by a previous boot.
+//
+// Journals written by older builds may also hold
+// {"rec":"checkpoint","job":..,"image":..} lines: a base64 world image
+// of a drain-cancelled replay. Recovery skips them like any unknown
+// record, so such a job re-runs whole.
 //
 // A truncated or corrupted tail — the torn last write of a crash — is
 // detected, warned about, and truncated away; it never panics and never
@@ -142,7 +148,6 @@ type journalRecord struct {
 	Rec     string     `json:"rec"`
 	Job     string     `json:"job,omitempty"`
 	Spec    *SpecImage `json:"spec,omitempty"`
-	Image   []byte     `json:"image,omitempty"`
 	State   string     `json:"state,omitempty"`
 	Cause   string     `json:"cause,omitempty"`
 	Error   string     `json:"error,omitempty"`
@@ -151,13 +156,11 @@ type journalRecord struct {
 }
 
 // RecoveredJob is one journal-recovered job awaiting revival: the epoch
-// and id it had, its rebuilt spec, and — when the dying process managed
-// to checkpoint it — the encoded world image to resume from.
+// and id it had, and its rebuilt spec.
 type RecoveredJob struct {
 	Epoch int
 	ID    string
 	Spec  Spec
-	Image []byte
 }
 
 // Journal is an open write-ahead job journal. All appends are fsync'd:
@@ -210,7 +213,6 @@ type recState struct {
 	epoch    int
 	id       string
 	spec     *SpecImage
-	image    []byte
 	terminal string
 	cause    string
 	resumed  bool
@@ -220,8 +222,9 @@ type recState struct {
 // scan replays the journal from the start. It returns the revivable
 // jobs and the byte offset after the last well-formed record; anything
 // past that offset is a torn write to be truncated. Records are read
-// with a raw line splitter, not bufio.Scanner — checkpoint images blow
-// straight through Scanner's default token limit.
+// with a raw line splitter, not bufio.Scanner — the multi-KB checkpoint
+// image lines older builds wrote blow straight through Scanner's
+// default token limit.
 func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 	data, err := os.ReadFile(j.path)
 	if err != nil {
@@ -261,8 +264,6 @@ func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 		case "submit":
 			st := get(rec.Job)
 			st.spec = rec.Spec
-		case "checkpoint":
-			get(rec.Job).image = rec.Image
 		case "state":
 			st := get(rec.Job)
 			st.terminal, st.cause = rec.State, rec.Cause
@@ -274,7 +275,8 @@ func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 			}
 		default:
 			// Unknown record kinds from a newer build pass through; the
-			// journal is forward-readable.
+			// journal is forward-readable. An older build's checkpoint
+			// record lands here too and is never decoded.
 		}
 	}
 	var recovered []RecoveredJob
@@ -283,7 +285,7 @@ func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 			continue
 		}
 		// A job with no terminal record died with the process; one
-		// checkpointed by a drain is explicitly parked to continue.
+		// cancelled by a drain is explicitly parked to continue.
 		if st.terminal != "" && !(st.terminal == StateCancelled.String() && st.cause == CauseDrained.Error()) {
 			continue
 		}
@@ -291,7 +293,6 @@ func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 			Epoch: st.epoch,
 			ID:    st.id,
 			Spec:  st.spec.Spec(),
-			Image: st.image,
 		})
 	}
 	return recovered, good, nil

@@ -9,6 +9,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -188,9 +189,9 @@ func TestJournalRevivesKilledJobs(t *testing.T) {
 }
 
 // TestJournalRevivesDrainCheckpointedReplay is the warr-serve shutdown
-// contract: a replay interrupted by an exhausted drain is checkpointed
-// (world image in the journal), and the next boot resumes it
-// mid-trace to the same final result as an uninterrupted run.
+// contract: a replay interrupted by an exhausted drain is journaled as
+// drained, and the next boot re-runs its spec to the same event stream,
+// byte for byte, as an uninterrupted run.
 func TestJournalRevivesDrainCheckpointedReplay(t *testing.T) {
 	tr := recordScenario(t, apps.AuthenticateScenario())
 	if len(tr.Commands) < 4 {
@@ -204,6 +205,7 @@ func TestJournalRevivesDrainCheckpointedReplay(t *testing.T) {
 	}
 	waitJob(t, refJob)
 	want := refJob.Result()
+	wantStream := encodeStream(t, refJob, refJob.ID)
 	ref.Close()
 
 	path := filepath.Join(t.TempDir(), "jobs.journal")
@@ -253,9 +255,6 @@ func TestJournalRevivesDrainCheckpointedReplay(t *testing.T) {
 	if len(recovered) != 1 {
 		t.Fatalf("recovered %d jobs, want the drained one", len(recovered))
 	}
-	if len(recovered[0].Image) == 0 {
-		t.Fatal("drained replay recovered without its checkpoint image")
-	}
 
 	e2 := New(Options{Workers: 1, QueueDepth: 2, Journal: j2})
 	defer e2.Close()
@@ -277,16 +276,107 @@ func TestJournalRevivesDrainCheckpointedReplay(t *testing.T) {
 			t.Errorf("step %d: revived %v, uninterrupted %v", i, res.Steps[i].Status, want.Steps[i].Status)
 		}
 	}
-	// The revived stream re-publishes the checkpointed prefix, so a
-	// subscriber sees every command exactly once.
-	var steps int
-	for _, ev := range drainEvents(t, revived[0]) {
-		if _, ok := ev.(StepEvent); ok {
-			steps++
+	// Re-running the spec rebuilds the same worlds, so a subscriber of
+	// the revived job sees exactly the uninterrupted stream.
+	if got := encodeStream(t, revived[0], refJob.ID); got != wantStream {
+		t.Errorf("revived stream differs from the uninterrupted one:\n got %s\nwant %s", got, wantStream)
+	}
+}
+
+// encodeStream renders a finished job's whole event stream as JSON
+// lines, with the job id in state frames mapped to id so streams of two
+// engines compare byte for byte.
+func encodeStream(t *testing.T, job *Job, id string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, ev := range drainEvents(t, job) {
+		if se, ok := ev.(StateEvent); ok {
+			se.Job = id
+			ev = se
+		}
+		line, err := EncodeEvent(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+	}
+	return b.String()
+}
+
+// TestJournalOldCheckpointRevivesWhole boots on a journal an older
+// build wrote: a drained replay with a checkpoint record carrying a
+// world image. The image is garbage on purpose — it must never be
+// decoded. The job revives once, re-runs whole, and nothing warns.
+func TestJournalOldCheckpointRevivesWhole(t *testing.T) {
+	tr := recordScenario(t, apps.AuthenticateScenario())
+	ref := New(Options{Workers: 1, QueueDepth: 2})
+	refJob, err := ref.Submit(Spec{Kind: KindReplay, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, refJob)
+	wantStream := encodeStream(t, refJob, refJob.ID)
+	ref.Close()
+
+	si := imageSpec(Spec{Kind: KindReplay, Trace: tr, Mode: browser.DeveloperMode})
+	submit, err := json.Marshal(journalRecord{Rec: "submit", Job: "job-1", Spec: &si})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained, err := json.Marshal(journalRecord{Rec: "state", Job: "job-1", State: StateCancelled.String(), Cause: CauseDrained.Error()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.journal")
+	old := `{"rec":"boot"}` + "\n" + string(submit) + "\n" +
+		`{"rec":"checkpoint","job":"job-1","image":"!!not base64, not an image!!"}` + "\n" +
+		string(drained) + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var warnings []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	j, recovered, err := OpenJournal(path, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 1 || recovered[0].ID != "job-1" || recovered[0].Epoch != 1 {
+		t.Fatalf("recovered %+v, want epoch-1 job-1", recovered)
+	}
+	e := New(Options{Workers: 1, QueueDepth: 2, Journal: j})
+	revived := e.Revive(recovered)
+	if len(revived) != 1 {
+		t.Fatalf("revived %d jobs, want 1", len(revived))
+	}
+	waitJob(t, revived[0])
+	if got := encodeStream(t, revived[0], refJob.ID); got != wantStream {
+		t.Errorf("revived stream differs from a whole run:\n got %s\nwant %s", got, wantStream)
+	}
+	e.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	for _, w := range warnings {
+		if !strings.HasPrefix(w, "jobs: revived epoch 1 job-1 as ") {
+			t.Errorf("unexpected journal warning: %s", w)
 		}
 	}
-	if steps != len(tr.Commands) {
-		t.Errorf("revived stream carried %d step events, want %d", steps, len(tr.Commands))
+	mu.Unlock()
+
+	j2, again, err := OpenJournal(path, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(again) != 0 {
+		t.Fatalf("second boot recovered %+v, want nothing: the job was revived once", again)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/errmodel"
-	"github.com/dslab-epfl/warr/internal/image"
 	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/replayer"
 	"github.com/dslab-epfl/warr/internal/weberr"
@@ -54,18 +53,6 @@ func (e *Engine) runReplay(job *Job) error {
 			// never drop a job just because the cheap path is closed.
 		}
 	}
-	// Journal revival: restore the checkpointed world and pick up at the
-	// next unreplayed command, re-publishing the checkpointed steps so
-	// subscribers see the stream an uninterrupted replay would produce.
-	// Any restore failure falls through to a fresh full replay.
-	if len(job.resumeImage) > 0 {
-		if session, ok := e.loadCheckpoint(job); ok {
-			for _, st := range session.Result().Steps {
-				job.bus.Publish(NewStepEvent(st))
-			}
-			return e.driveSession(job, session)
-		}
-	}
 	if cause := context.Cause(job.ctx); cause != nil {
 		// Cancelled before any command: publish the same empty partial
 		// result an unstarted session reports on its first Next.
@@ -82,39 +69,6 @@ func (e *Engine) runReplay(job *Job) error {
 		return err
 	}
 	return e.driveSession(job, session)
-}
-
-// loadCheckpoint rebuilds the world and session of a revived job's
-// checkpoint image. Failures are warned about, never fatal — the caller
-// falls back to a fresh full replay.
-func (e *Engine) loadCheckpoint(job *Job) (*replayer.Session, bool) {
-	warnf := func(format string, args ...any) {
-		if j := e.opts.Journal; j != nil {
-			j.warnf(format, args...)
-		}
-	}
-	img, _, err := image.Decode(job.resumeImage)
-	if err != nil {
-		warnf("jobs: decoding %s checkpoint: %v", job.ID, err)
-		return nil, false
-	}
-	_, session, err := image.LoadSession(img, job.ctx, nil)
-	if err != nil {
-		warnf("jobs: restoring %s checkpoint: %v", job.ID, err)
-		return nil, false
-	}
-	if session.Result().Cancelled {
-		// The checkpoint froze a cancelled session; Resume clears the
-		// final mark (forking the freshly restored world) so Next picks
-		// up at the first unreplayed command.
-		resumed, err := session.Resume(job.ctx)
-		if err != nil {
-			warnf("jobs: resuming %s checkpoint: %v", job.ID, err)
-			return nil, false
-		}
-		session = resumed
-	}
-	return session, true
 }
 
 // driveSession replays the session's remaining commands, streaming one

@@ -22,19 +22,17 @@ import (
 //   - fork: a fresh NewState, the struct deep-copied in, the sessions
 //     copied. The copy is a typed reflect walk, not a JSON round trip,
 //     which costs several times as much on every campaign checkpoint;
-//   - image: the struct's JSON with "sessions" appended as the last key;
-//   - restore: the JSON decoded into a zero struct and swapped in, with
-//     top-level null maps made empty so handlers can write into them;
+//   - image: the struct's JSON with "sessions" appended as the last key,
+//     canonical bytes that compare two worlds (nothing restores one);
 //   - reset: Env.Reset rebuilds the state with NewState.
 //
 // The struct may hold bools, numbers, strings, and slices, arrays, maps
 // (string or integer keys) and structs of those, in exported fields.
 // Pointer, interface, func and chan fields are refused with
-// *NotDeclaredError: neither a copy nor a JSON round trip could
-// reproduce them. States without a Declarer still work everywhere:
-// Env.Fork and images fail with *NotDeclaredError, and callers replay
-// the trace prefix in a fresh environment instead (the flat campaign
-// path).
+// *NotDeclaredError: a copy could not reproduce them. States without a
+// Declarer still work everywhere: Env.Fork and images fail with
+// *NotDeclaredError, and callers replay the trace prefix in a fresh
+// environment instead (the flat campaign path).
 type Declarer interface {
 	Declare() (mu *sync.Mutex, data any, srv *webapp.Server)
 }
@@ -192,7 +190,7 @@ func forkState(a App, st AppState) (AppState, error) {
 // marshalState derives a state's image: the declared struct's JSON with
 // the issued sessions appended as the last key. encoding/json sorts map
 // keys, so identical states marshal to identical bytes — the property
-// image digests rely on.
+// world-equality checks rely on.
 func marshalState(app string, st AppState) ([]byte, error) {
 	mu, data, srv, err := declaration(app, st)
 	if err != nil {
@@ -213,39 +211,4 @@ func marshalState(app string, st AppState) ([]byte, error) {
 	}
 	b = append(b, `"sessions":`...)
 	return append(append(b, sess...), '}'), nil
-}
-
-// unmarshalState restores an image into a state freshly built by
-// NewState: the declared struct is decoded into a zero value and
-// swapped in whole, replacing whatever NewState seeded, and the imaged
-// sessions replace the fresh ones (an image without a sessions key
-// leaves them in place).
-func unmarshalState(app string, st AppState, raw []byte) error {
-	mu, data, srv, err := declaration(app, st)
-	if err != nil {
-		return err
-	}
-	fresh := reflect.New(data.Type())
-	var sess struct {
-		Sessions *webapp.SessionsImage `json:"sessions"`
-	}
-	if err := json.Unmarshal(raw, fresh.Interface()); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(raw, &sess); err != nil {
-		return err
-	}
-	v := fresh.Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Map && f.IsNil() {
-			f.Set(reflect.MakeMap(f.Type()))
-		}
-	}
-	mu.Lock()
-	data.Set(v)
-	mu.Unlock()
-	if sess.Sessions != nil {
-		srv.ImportSessions(sess.Sessions)
-	}
-	return nil
 }

@@ -47,8 +47,7 @@ type App interface {
 
 // AppState is one environment's instance of an application: its mutable
 // server state plus the handler serving it. A state that also declares
-// its mutable fields (Declarer) makes its environment forkable and
-// imageable.
+// its mutable fields (Declarer) makes its environment forkable.
 type AppState interface {
 	// Handler serves the application's requests.
 	Handler() netsim.Handler
@@ -59,8 +58,8 @@ type AppState interface {
 // CoverageMarks derives a set of 64-bit marks from the current server
 // state — one mark per distinct observable fact (a stored page, a sent
 // mail, a served query, a bucketed counter). Marks must be a pure
-// function of the state: a forked or image-restored world reports the
-// same marks as the original, and no history beyond what the state
+// function of the state: a forked world reports the same marks as the
+// original, and no history beyond what the state
 // itself records is required.
 //
 // States without a CoverageSource still fuzz fine — their campaigns

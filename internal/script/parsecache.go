@@ -77,21 +77,3 @@ func parseCached(src string) (*program, error) {
 	parseMu.Unlock()
 	return e.prog, e.err
 }
-
-// parseCacheLen reports cached programs across both generations (an
-// entry mid-promotion may be counted twice). Test hook.
-func parseCacheLen() int {
-	parseMu.RLock()
-	defer parseMu.RUnlock()
-	return len(parseCur) + len(parsePrev)
-}
-
-// resetParseCache empties the cache. Test hook.
-func resetParseCache() {
-	parseMu.Lock()
-	defer parseMu.Unlock()
-	parseCur = make(map[string]parseEntry)
-	parsePrev = nil
-	seenCur = make(map[uint64]struct{})
-	seenPrev = nil
-}

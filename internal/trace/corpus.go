@@ -281,10 +281,6 @@ func summarize(rep *weberr.Report) *CampaignSummary {
 // two-space indented JSON with a trailing newline.
 func MarshalOutcome(out *Outcome) ([]byte, error) { return marshalGolden(out) }
 
-// MarshalImageOutcome renders an image outcome in the same golden
-// layout.
-func MarshalImageOutcome(out *ImageOutcome) ([]byte, error) { return marshalGolden(out) }
-
 func marshalGolden(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -353,34 +349,7 @@ func VerifyDir(dir string) ([]Mismatch, error) {
 			mismatches = append(mismatches, Mismatch{name, diffLines(string(want), string(got))})
 		}
 	}
-	// Committed world images verify like archives: decode the committed
-	// bytes, resume the restored session, diff against the golden.
-	imgs, err := images(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range imgs {
-		base := filepath.Base(p) // e.g. edit-site.image
-		seen[base] = true
-		want, err := os.ReadFile(p + GoldenExt)
-		if err != nil {
-			mismatches = append(mismatches, Mismatch{base, fmt.Sprintf("golden missing: %v", err)})
-			continue
-		}
-		out, err := RunImage(p)
-		if err != nil {
-			mismatches = append(mismatches, Mismatch{base, fmt.Sprintf("image failed to run: %v", err)})
-			continue
-		}
-		got, err := MarshalImageOutcome(out)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(got, want) {
-			mismatches = append(mismatches, Mismatch{base, diffLines(string(want), string(got))})
-		}
-	}
-	// Goldens whose archive (or image) is gone are drift too.
+	// Goldens whose archive is gone are drift too.
 	goldens, err := filepath.Glob(filepath.Join(dir, "*"+GoldenExt))
 	if err != nil {
 		return nil, err
@@ -406,16 +375,9 @@ func UpdateDir(dir string) (changed []string, err error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("trace: no %s archives in %s", ArchiveExt, dir)
 	}
-	imgs, err := images(dir)
-	if err != nil {
-		return nil, err
-	}
 	hasArchive := make(map[string]bool)
 	for _, p := range paths {
 		hasArchive[strings.TrimSuffix(filepath.Base(p), ArchiveExt)] = true
-	}
-	for _, p := range imgs {
-		hasArchive[filepath.Base(p)] = true
 	}
 	goldens, err := filepath.Glob(filepath.Join(dir, "*"+GoldenExt))
 	if err != nil {
@@ -449,24 +411,6 @@ func UpdateDir(dir string) (changed []string, err error) {
 			return changed, err
 		}
 		changed = append(changed, strings.TrimSuffix(filepath.Base(p), ArchiveExt))
-	}
-	for _, p := range imgs {
-		out, err := RunImage(p)
-		if err != nil {
-			return changed, fmt.Errorf("%s: %w", p, err)
-		}
-		got, err := MarshalImageOutcome(out)
-		if err != nil {
-			return changed, err
-		}
-		old, readErr := os.ReadFile(p + GoldenExt)
-		if readErr == nil && bytes.Equal(old, got) {
-			continue
-		}
-		if err := os.WriteFile(p+GoldenExt, got, 0o644); err != nil {
-			return changed, err
-		}
-		changed = append(changed, filepath.Base(p))
 	}
 	return changed, nil
 }
@@ -594,9 +538,8 @@ func (e Entry) RecordEntry() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RecordDir records every corpus entry into dir, one archive each, plus
-// the pinned world images (captured from the freshly written archives),
-// and returns the entry names written.
+// RecordDir records every corpus entry into dir, one archive each, and
+// returns the entry names written.
 func RecordDir(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -611,12 +554,6 @@ func RecordDir(dir string) ([]string, error) {
 			return names, err
 		}
 		names = append(names, e.Name)
-	}
-	for _, name := range imageEntries {
-		if err := recordImage(dir, name); err != nil {
-			return names, err
-		}
-		names = append(names, name+ImageExt)
 	}
 	return names, nil
 }

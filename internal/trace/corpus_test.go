@@ -61,28 +61,6 @@ func TestCorpusCoversEveryEntry(t *testing.T) {
 			t.Errorf("archive %s%s has no corpus entry", name, trace.ArchiveExt)
 		}
 	}
-
-	// The pinned world images are inventory too: an image entry without
-	// its committed .image file (or a stray image with no entry) is
-	// drift the same way a missing archive is.
-	imgs, err := trace.Images(corpusDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotImgs := make(map[string]bool)
-	for _, p := range imgs {
-		name := filepath.Base(p)
-		gotImgs[name[:len(name)-len(trace.ImageExt)]] = true
-	}
-	for _, name := range trace.ImageEntryNames {
-		if !gotImgs[name] {
-			t.Errorf("image entry %s has no committed image; run `go run ./cmd/warr-corpus -record`", name)
-		}
-		delete(gotImgs, name)
-	}
-	for name := range gotImgs {
-		t.Errorf("image %s%s has no corpus entry", name, trace.ImageExt)
-	}
 }
 
 // TestRecordingIsDeterministic asserts the property the whole corpus

@@ -6,10 +6,6 @@ package trace
 var (
 	// Archives lists the corpus archives in a directory, sorted.
 	Archives = archives
-	// Images lists the committed corpus world images, sorted.
-	Images = images
-	// ImageEntryNames are the archives that also pin a world image.
-	ImageEntryNames = imageEntries
 	// DiffLines renders the corpus runner's minimal line diff.
 	DiffLines = diffLines
 )

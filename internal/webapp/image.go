@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the one walk over a server's sessions: forks copy them
-// through ExportSessions/ImportSessions, world images (internal/image)
-// serialize the export, and the per-session coverage lane hashes it. It
-// carries the issued sessions, their values and the sid counter, so a
-// forked or restored server mints the same future sids as the original.
+// through ExportSessions/ImportSessions, environment images serialize
+// the export, and the per-session coverage lane hashes it. It carries
+// the issued sessions, their values and the sid counter, so a forked
+// server mints the same future sids as the original.
 
 // SessionImage is one serialized session.
 type SessionImage struct {
@@ -40,8 +40,8 @@ func (s *Server) ExportSessions() *SessionsImage {
 }
 
 // ImportSessions replaces the server's sessions with the imaged ones.
-// The server takes ownership of img's value maps: pass a fresh export
-// or decode, not an image still in use.
+// The server takes ownership of img's value maps: pass a fresh export,
+// not one still in use.
 func (s *Server) ImportSessions(img *SessionsImage) {
 	sessions := make(map[string]*Session, len(img.Sessions))
 	for _, si := range img.Sessions {
