@@ -17,6 +17,8 @@ package warr_test
 //	BenchmarkWebErrCampaignPruning*     — §V-A heuristic 1 (prefix-failure pruning)
 //	BenchmarkNavigationCampaign*        — campaign executor at Parallelism 1 vs the work-sharing pool
 //	BenchmarkEnvFork                    — one environment checkpoint (trie scheduler unit cost)
+//	BenchmarkDocumentClone              — one page copy (template load, and the DOM share of a fork)
+//	BenchmarkLayoutCompute              — one page layout (recomputed after every DOM mutation)
 //	BenchmarkCampaignSharedPrefix*      — trace-trie scheduler vs the flat-executor ablation
 //	BenchmarkCampaignDistributed        — the full campaign through the coordinator/worker wire protocol
 //	BenchmarkCampaignDistributedLongTrace — the same over a 119-command base (deep shard prefixes)
@@ -45,6 +47,8 @@ import (
 	"github.com/dslab-epfl/warr/internal/experiments"
 	"github.com/dslab-epfl/warr/internal/humanerr"
 	"github.com/dslab-epfl/warr/internal/jobs"
+	"github.com/dslab-epfl/warr/internal/layout"
+	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
 	"github.com/dslab-epfl/warr/internal/weberr"
 	"github.com/dslab-epfl/warr/internal/xpath"
@@ -478,6 +482,55 @@ func BenchmarkEnvFork(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// largestStartPage loads the start page of every registered app and
+// returns the main-frame document with the most nodes, and that count.
+func largestStartPage(b *testing.B) (*dom.Document, int) {
+	b.Helper()
+	env := apps.NewEnv(browser.DeveloperMode)
+	var best *dom.Document
+	bestNodes := 0
+	for _, app := range registry.Apps() {
+		tab := env.Browser.NewTab()
+		if err := tab.Navigate(app.StartURL()); err != nil {
+			b.Fatalf("navigate %s: %v", app.StartURL(), err)
+		}
+		doc, nodes := tab.MainFrame().Doc(), 0
+		doc.Root().Walk(func(*dom.Node) bool { nodes++; return true })
+		if nodes > bestNodes {
+			best, bestNodes = doc, nodes
+		}
+	}
+	return best, bestNodes
+}
+
+// BenchmarkDocumentClone measures one page copy of the largest start
+// page: the cost of every template-cached page load, and the DOM share
+// of BenchmarkEnvFork.
+func BenchmarkDocumentClone(b *testing.B) {
+	doc, nodes := largestStartPage(b)
+	b.ReportAllocs()
+	gcSettle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		doc.CloneWithIndex(nil)
+	}
+	b.ReportMetric(float64(nodes), "nodes")
+}
+
+// BenchmarkLayoutCompute measures one layout of the largest start page,
+// which a frame recomputes on the first click or hit test after any DOM
+// mutation.
+func BenchmarkLayoutCompute(b *testing.B) {
+	doc, nodes := largestStartPage(b)
+	b.ReportAllocs()
+	gcSettle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		layout.Compute(doc, layout.DefaultViewportWidth)
+	}
+	b.ReportMetric(float64(nodes), "nodes")
 }
 
 // BenchmarkCampaignSharedPrefix pins the trie scheduler against the

@@ -13,8 +13,8 @@ import (
 // the same served HTML — and parsing plus index construction per load
 // was a top cost of the replay hot path. Instead, HTML seen repeatedly
 // is parsed once into an immutable template document, and each load
-// clones the template (dom.CloneWithIndex: arena node copy, index
-// translated, no rebuild), which is cheaper than tokenizing.
+// clones the template (dom.CloneWithIndex: one arena copy walk that
+// also fills the copy's query index), which is cheaper than tokenizing.
 //
 // Like the script parse cache, templates are stored only from a
 // source's second sighting — pages generated uniquely per load (GMail
@@ -44,7 +44,7 @@ func parsePage(html, url string) *dom.Document {
 	}
 	pageMu.RUnlock()
 	if tmpl != nil {
-		doc, _ := tmpl.CloneWithIndex()
+		doc := tmpl.CloneWithIndex(nil)
 		doc.URL = url
 		if !hot {
 			storeTemplate(html, tmpl)
@@ -72,7 +72,7 @@ func parsePage(html, url string) *dom.Document {
 	// Second sighting: park an immutable template and hand the caller
 	// an independent clone. The template is never given out, so nothing
 	// can mutate it.
-	tmpl, _ = doc.CloneWithIndex()
+	tmpl = doc.CloneWithIndex(nil)
 	storeTemplate(html, tmpl)
 	return doc
 }

@@ -12,9 +12,10 @@ import (
 
 // This file implements environment checkpointing at the browser layer:
 // a Fork is a deep, independent copy of the browser — cookies, tabs,
-// frame trees, DOM documents (query indexes cloned by translation, not
-// rebuilt), script interpreter state, event listeners, and pending
-// asynchronous work — re-rooted on a forked world's clock and network.
+// frame trees, DOM documents (each copied in one walk that also fills
+// the copy's query index and the fork's node map), script interpreter
+// state, event listeners, and pending asynchronous work — re-rooted on
+// a forked world's clock and network.
 // The campaign trie scheduler checkpoints a replay at trace branch
 // points and forks one copy per divergent suffix, so a shared prefix
 // executes exactly once.
@@ -184,11 +185,7 @@ func (st *cloneState) cloneFrameStructure(old *Frame, tab *Tab, parent *Frame) *
 	nf.alive = old.alive
 	st.fork.frames[old] = nf
 
-	doc, nodeMap := old.doc.CloneWithIndex()
-	for o, n := range nodeMap {
-		st.nodes[o] = n
-	}
-	nf.doc = doc
+	nf.doc = old.doc.CloneWithIndex(st.nodes)
 	nf.interp = newFrameInterp(nf)
 	for name, v := range old.builtins {
 		st.owners[v] = builtinOwner{frame: old, name: name}

@@ -100,11 +100,3 @@ func (d *Document) CreateElement(tag string) *Node { return NewElement(tag) }
 
 // CreateTextNode returns a new detached text node.
 func (d *Document) CreateTextNode(text string) *Node { return NewText(text) }
-
-// Clone returns a deep copy of the document (listeners are not copied).
-// The copy gets its own query index.
-func (d *Document) Clone() *Document {
-	root := d.root.Clone(true)
-	buildIndex(root)
-	return &Document{root: root, URL: d.URL}
-}

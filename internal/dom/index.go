@@ -14,13 +14,17 @@ package dom
 // with every mutation, a lookup can never observe stale state; the
 // generation counter additionally lets derived caches detect that the
 // tree changed under them.
+//
+// Buckets are unordered node slices rather than pointer sets, so copying
+// a document (CloneWithIndex) fills the copy's buckets as it walks the
+// tree instead of rehashing every node pointer.
 type QueryIndex struct {
 	root *Node
 	gen  uint64
 
-	byID   map[string]map[*Node]struct{}
-	byTag  map[string]map[*Node]struct{}
-	byAttr map[attrKey]map[*Node]struct{}
+	byID   map[string][]*Node
+	byTag  map[string][]*Node
+	byAttr map[attrKey][]*Node
 
 	// events counts dispatched events per (type, target tag, target id)
 	// — the event-handler lane of the replay coverage signal. Counters
@@ -48,9 +52,9 @@ type attrKey struct {
 func buildIndex(root *Node) *QueryIndex {
 	ix := &QueryIndex{
 		root:   root,
-		byID:   make(map[string]map[*Node]struct{}),
-		byTag:  make(map[string]map[*Node]struct{}),
-		byAttr: make(map[attrKey]map[*Node]struct{}),
+		byID:   make(map[string][]*Node),
+		byTag:  make(map[string][]*Node),
+		byAttr: make(map[attrKey][]*Node),
 	}
 	ix.addSubtree(root)
 	return ix
@@ -67,12 +71,6 @@ func (ix *QueryIndex) Generation() uint64 { return ix.gen }
 // CountTag returns how many elements carry the given tag.
 func (ix *QueryIndex) CountTag(tag string) int { return len(ix.byTag[tag]) }
 
-// NodesByTag returns the elements with the given tag, in no particular
-// order.
-func (ix *QueryIndex) NodesByTag(tag string) []*Node {
-	return collect(ix.byTag[tag])
-}
-
 // CountAttr returns how many elements carry the attribute name=value.
 func (ix *QueryIndex) CountAttr(name, value string) int {
 	if name == "id" {
@@ -82,12 +80,14 @@ func (ix *QueryIndex) CountAttr(name, value string) int {
 }
 
 // NodesByAttr returns the elements carrying the attribute name=value, in
-// no particular order.
+// no particular order. The slice is the index's own bucket, not a copy:
+// callers must not modify it, and it is valid only until the next
+// mutation of the tree.
 func (ix *QueryIndex) NodesByAttr(name, value string) []*Node {
 	if name == "id" {
-		return collect(ix.byID[value])
+		return ix.byID[value]
 	}
-	return collect(ix.byAttr[attrKey{name, value}])
+	return ix.byAttr[attrKey{name, value}]
 }
 
 // ByID returns the first element in document order whose id attribute
@@ -95,23 +95,12 @@ func (ix *QueryIndex) NodesByAttr(name, value string) []*Node {
 // way getElementById does: the earliest element wins.
 func (ix *QueryIndex) ByID(id string) *Node {
 	var first *Node
-	for n := range ix.byID[id] {
+	for _, n := range ix.byID[id] {
 		if first == nil || CompareDocumentOrder(n, first) < 0 {
 			first = n
 		}
 	}
 	return first
-}
-
-func collect(bucket map[*Node]struct{}) []*Node {
-	if len(bucket) == 0 {
-		return nil
-	}
-	out := make([]*Node, 0, len(bucket))
-	for n := range bucket {
-		out = append(out, n)
-	}
-	return out
 }
 
 // addSubtree registers n and every descendant.
@@ -208,23 +197,28 @@ func (ix *QueryIndex) VisitEvents(fn func(k EventKey, count uint64)) {
 	}
 }
 
-func addTo[K comparable](m map[K]map[*Node]struct{}, k K, n *Node) {
-	b := m[k]
-	if b == nil {
-		b = make(map[*Node]struct{})
-		m[k] = b
-	}
-	b[n] = struct{}{}
+func addTo[K comparable](m map[K][]*Node, k K, n *Node) {
+	m[k] = append(m[k], n)
 }
 
-func removeFrom[K comparable](m map[K]map[*Node]struct{}, k K, n *Node) {
+// removeFrom deletes n from bucket k, moving the bucket's last entry into
+// its slot. The scan starts at the end, where the most recently attached
+// elements sit.
+func removeFrom[K comparable](m map[K][]*Node, k K, n *Node) {
 	b := m[k]
-	if b == nil {
+	for i := len(b) - 1; i >= 0; i-- {
+		if b[i] != n {
+			continue
+		}
+		last := len(b) - 1
+		b[i] = b[last]
+		b[last] = nil
+		if last == 0 {
+			delete(m, k)
+		} else {
+			m[k] = b[:last]
+		}
 		return
-	}
-	delete(b, n)
-	if len(b) == 0 {
-		delete(m, k)
 	}
 }
 

@@ -192,7 +192,7 @@ func sign(x int) int {
 
 func TestDocumentCloneGetsOwnIndex(t *testing.T) {
 	d, divA, _ := testDoc(t)
-	c := d.Clone()
+	c := d.CloneWithIndex(nil)
 	if c.Index() == nil || c.Index() == d.Index() {
 		t.Fatal("clone must carry its own index")
 	}

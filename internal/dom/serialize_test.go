@@ -107,7 +107,7 @@ func TestWrapDocumentPanicsOnNonDocument(t *testing.T) {
 func TestDocumentClone(t *testing.T) {
 	d := NewDocument("u")
 	d.Body().AppendChild(NewElement("div", "id", "a"))
-	c := d.Clone()
+	c := d.CloneWithIndex(nil)
 	c.GetElementByID("a").SetAttr("id", "b")
 	if d.GetElementByID("a") == nil {
 		t.Fatal("clone mutated original")

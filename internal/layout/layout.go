@@ -48,10 +48,11 @@ var inlineTags = map[string]bool{
 	"label": true, "select": true, "code": true, "small": true,
 }
 
-// Layout holds the computed boxes for one document.
+// Layout holds the computed boxes for one document: nodes[i] has box
+// boxes[i], in document order.
 type Layout struct {
-	boxes map[*dom.Node]Box
-	root  *dom.Node
+	nodes []*dom.Node
+	boxes []Box
 }
 
 // Compute lays out the document's body into a viewport of the given width
@@ -60,73 +61,80 @@ func Compute(doc *dom.Document, w int) *Layout {
 	if w <= 0 {
 		w = DefaultViewportWidth
 	}
-	l := &Layout{boxes: make(map[*dom.Node]Box), root: doc.Root()}
 	body := doc.Body()
 	if body == nil {
-		return l
+		return &Layout{}
 	}
+	// Size the slices once: every element under body gets at most one box.
+	elems := 0
+	body.Walk(func(n *dom.Node) bool {
+		if n.Type == dom.ElementNode {
+			elems++
+		}
+		return true
+	})
+	l := &Layout{nodes: make([]*dom.Node, 0, elems), boxes: make([]Box, 0, elems)}
 	l.layoutBlock(body, 0, 0, w)
 	return l
 }
 
 // layoutBlock assigns n the box (x, y, w, height) and recursively lays out
-// its children; it returns the height consumed.
+// its children; it returns the height consumed. n's slot is taken before
+// its children's, so the slices stay in document order.
 func (l *Layout) layoutBlock(n *dom.Node, x, y, w int) int {
+	i := len(l.nodes)
+	l.nodes = append(l.nodes, n)
+	l.boxes = append(l.boxes, Box{X: x, Y: y})
 	if hidden(n) {
-		l.boxes[n] = Box{X: x, Y: y, W: 0, H: 0}
 		return 0
 	}
 	if n.Tag == "tr" {
-		return l.layoutRow(n, x, y, w)
+		return l.layoutRow(i, n, x, y, w)
 	}
 
 	cy := y
-	hasOwnText := strings.TrimSpace(n.OwnText()) != ""
-	if hasOwnText {
+	if hasOwnText(n) {
 		cy += lineHeight
 	}
-	for _, c := range n.Children() {
+	for k := range n.NumChildren() {
+		c := n.ChildAt(k)
 		if c.Type != dom.ElementNode {
 			continue
 		}
 		cw := w
-		cx := x
 		if inlineTags[c.Tag] && c.NumChildren() <= 2 {
 			cw = inlineWidth(c, w)
 		}
-		cy += l.layoutBlock(c, cx, cy, cw)
+		cy += l.layoutBlock(c, x, cy, cw)
 	}
-	h := cy - y
-	if h < lineHeight {
-		h = lineHeight
-	}
-	l.boxes[n] = Box{X: x, Y: y, W: w, H: h}
+	h := max(cy-y, lineHeight)
+	l.boxes[i].W, l.boxes[i].H = w, h
 	return h
 }
 
-// layoutRow lays out a table row: element children share the width.
-func (l *Layout) layoutRow(n *dom.Node, x, y, w int) int {
-	cells := n.ChildElements()
-	if len(cells) == 0 {
-		l.boxes[n] = Box{X: x, Y: y, W: w, H: lineHeight}
-		return lineHeight
-	}
-	cw := w / len(cells)
-	if cw < 1 {
-		cw = 1
-	}
-	maxH := 0
-	for i, c := range cells {
-		h := l.layoutBlock(c, x+i*cw, y, cw)
-		if h > maxH {
-			maxH = h
+// layoutRow lays out table row n, whose slot is i: element children
+// share the width.
+func (l *Layout) layoutRow(i int, n *dom.Node, x, y, w int) int {
+	h := lineHeight
+	if cells := n.ChildElements(); len(cells) > 0 {
+		cw := max(w/len(cells), 1)
+		for j, c := range cells {
+			h = max(h, l.layoutBlock(c, x+j*cw, y, cw))
 		}
 	}
-	if maxH < lineHeight {
-		maxH = lineHeight
+	l.boxes[i].W, l.boxes[i].H = w, h
+	return h
+}
+
+// hasOwnText reports whether a direct text child of n holds more than
+// whitespace.
+func hasOwnText(n *dom.Node) bool {
+	for i := 0; i < n.NumChildren(); i++ {
+		if c := n.ChildAt(i); c.Type == dom.TextNode && strings.TrimSpace(c.Data) != "" {
+			return true
+		}
 	}
-	l.boxes[n] = Box{X: x, Y: y, W: w, H: maxH}
-	return maxH
+	return false
 }
 
 func inlineWidth(n *dom.Node, maxW int) int {
@@ -161,36 +169,33 @@ func hidden(n *dom.Node) bool {
 
 // BoxOf returns the element's box and whether the element was laid out.
 func (l *Layout) BoxOf(n *dom.Node) (Box, bool) {
-	b, ok := l.boxes[n]
-	return b, ok
+	for i, m := range l.nodes {
+		if m == n {
+			return l.boxes[i], true
+		}
+	}
+	return Box{}, false
 }
 
 // Center returns the center point of n's box (0,0 when n has no box).
 func (l *Layout) Center(n *dom.Node) (int, int) {
-	b, ok := l.boxes[n]
-	if !ok {
-		return 0, 0
-	}
+	b, _ := l.BoxOf(n)
 	return b.Center()
 }
 
 // HitTest returns the deepest visible element whose box contains (x, y),
-// or nil when the point falls outside every box.
+// or nil when the point falls outside every box. Among equally deep
+// boxes the earliest in document order wins.
 func (l *Layout) HitTest(x, y int) *dom.Node {
 	var best *dom.Node
 	bestDepth := -1
-	l.root.Walk(func(n *dom.Node) bool {
-		if n.Type != dom.ElementNode {
-			return true
+	for i, b := range l.boxes {
+		if b.W == 0 || b.H == 0 || !b.Contains(x, y) {
+			continue
 		}
-		b, ok := l.boxes[n]
-		if !ok || b.W == 0 || b.H == 0 || !b.Contains(x, y) {
-			return true
+		if d := l.nodes[i].Depth(); d > bestDepth {
+			best, bestDepth = l.nodes[i], d
 		}
-		if d := n.Depth(); d > bestDepth {
-			best, bestDepth = n, d
-		}
-		return true
-	})
+	}
 	return best
 }

@@ -77,18 +77,62 @@ func TestTableCellsSplitHorizontally(t *testing.T) {
 	}
 }
 
+// TestHiddenElementHasZeroBox pins what hiding does to a subtree: its
+// root gets a zero box, its descendants none, and no point hits either.
 func TestHiddenElementHasZeroBox(t *testing.T) {
-	d := htmlparse.Parse(`<div id="v">shown</div><div id="h" style="display: none">hidden</div>`, "u")
+	d := htmlparse.Parse(`<div id="v">shown</div><div id="h" style="display: none">hidden<span id="in">x</span></div>`, "u")
 	l := Compute(d, 800)
-	bh, _ := l.BoxOf(d.GetElementByID("h"))
-	if bh.W != 0 || bh.H != 0 {
-		t.Fatalf("hidden box = %+v, want zero size", bh)
+	h, in := d.GetElementByID("h"), d.GetElementByID("in")
+	bh, ok := l.BoxOf(h)
+	if !ok || bh.W != 0 || bh.H != 0 {
+		t.Fatalf("hidden box = %+v, %v; want a zero box", bh, ok)
+	}
+	if b, ok := l.BoxOf(in); ok {
+		t.Fatalf("descendant of a hidden element has box %+v", b)
+	}
+	for y := 0; y < 40; y++ {
+		if hit := l.HitTest(1, y); hit == h || hit == in {
+			t.Fatalf("HitTest(1,%d) hit hidden %s", y, hit.Path())
+		}
 	}
 	d2 := htmlparse.Parse(`<div id="h" hidden>x</div>`, "u")
 	l2 := Compute(d2, 800)
 	b2, _ := l2.BoxOf(d2.GetElementByID("h"))
 	if b2.W != 0 {
 		t.Fatal("hidden attribute not honored")
+	}
+}
+
+// TestBoxOfNodesNotLaidOut: only elements under <body> get boxes.
+func TestBoxOfNodesNotLaidOut(t *testing.T) {
+	d := htmlparse.Parse(`<head><title>t</title></head><body><div id="x">x</div></body>`, "u")
+	l := Compute(d, 800)
+	text := d.GetElementByID("x").FirstChild()
+	for name, n := range map[string]*dom.Node{
+		"head element": d.Head().FirstChild(),
+		"text node":    text,
+		"detached":     dom.NewElement("div"),
+	} {
+		if b, ok := l.BoxOf(n); ok {
+			t.Errorf("%s: BoxOf = %+v, true; want false", name, b)
+		}
+		if x, y := l.Center(n); x != 0 || y != 0 {
+			t.Errorf("%s: Center = %d,%d; want 0,0", name, x, y)
+		}
+	}
+}
+
+// TestHitTestEqualDepthTieGoesToDocumentOrder pins HitTest's tie-break:
+// of two equally deep boxes under the point, the earlier in document
+// order wins. Compute never overlaps siblings, so the boxes are set by
+// hand.
+func TestHitTestEqualDepthTieGoesToDocumentOrder(t *testing.T) {
+	d := htmlparse.Parse(`<div id="a">a</div><div id="b">b</div>`, "u")
+	a, b := d.GetElementByID("a"), d.GetElementByID("b")
+	box := Box{X: 0, Y: 0, W: 10, H: 10}
+	l := &Layout{nodes: []*dom.Node{a, b}, boxes: []Box{box, box}}
+	if hit := l.HitTest(5, 5); hit != a {
+		t.Errorf("tie between #a and #b hit %v, want #a", hit)
 	}
 }
 
@@ -108,26 +152,6 @@ func TestHitTestOutside(t *testing.T) {
 	l := Compute(d, 800)
 	if got := l.HitTest(-5, -5); got != nil {
 		t.Fatalf("HitTest outside = %v, want nil", got)
-	}
-}
-
-func TestHitTestRoundTripAllElements(t *testing.T) {
-	// For every visible element, hit-testing its center must return the
-	// element itself or a descendant — this is the property the click
-	// coordinate fallback relies on.
-	d := htmlparse.Parse(`
-		<div id="a">text
-			<div id="b"><span id="c">s</span></div>
-			<table><tr><td id="d">1</td><td id="e">2</td></tr></table>
-		</div>`, "u")
-	l := Compute(d, 800)
-	for _, id := range []string{"b", "c", "d", "e"} {
-		n := d.GetElementByID(id)
-		x, y := l.Center(n)
-		hit := l.HitTest(x, y)
-		if hit == nil || !n.Contains(hit) {
-			t.Errorf("HitTest center of #%s = %v", id, hit)
-		}
 	}
 }
 
