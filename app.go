@@ -303,7 +303,11 @@ const (
 )
 
 // ParseJobKind resolves a job kind name; unknown names return 0.
-func ParseJobKind(s string) JobKind { return jobs.ParseKind(s) }
+func ParseJobKind(s string) JobKind {
+	var k JobKind
+	_ = k.UnmarshalText([]byte(s))
+	return k
+}
 
 // JobState is a job's lifecycle position: queued → running → one of
 // done / failed / cancelled. A cancelled job may be resumed.

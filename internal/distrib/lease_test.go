@@ -39,6 +39,12 @@ func grantAll(t *testing.T, exec *campaign.Executor, plan []campaign.Job, n int,
 	for i := 0; i < n; i++ {
 		pool.touch(fmt.Sprintf("w%d", i))
 	}
+	// The pool's own shard plan: planning is deterministic, so shard si
+	// of this plan is shard si of every grant.
+	sp, ok := exec.PlanShards(context.Background(), plan, (len(plan)+4*n-1)/(4*n))
+	if !ok {
+		t.Fatal("the plan refused sharding")
+	}
 	okCh := make(chan bool, 1)
 	go func() {
 		_, ok := pool.DistributeCampaign(context.Background(), exec, plan, jobs.DistSpec{Campaign: "navigation"})
@@ -63,9 +69,7 @@ func grantAll(t *testing.T, exec *campaign.Executor, plan []campaign.Job, n int,
 			continue
 		}
 		_, si, _ := parseToken(l.Token)
-		pool.mu.Lock()
-		jobIdx := pool.run.plan.Shards[si].Jobs
-		pool.mu.Unlock()
+		jobIdx := sp.Shards[si].Jobs
 		body, err := seal(l)
 		if err != nil {
 			t.Fatal(err)
@@ -231,7 +235,7 @@ func TestOlderWorkerReportRejected(t *testing.T) {
 // decodes to the same jobs.
 func FuzzLeaseDecode(f *testing.F) {
 	l := WireLease{
-		Status: StatusLease, ID: "lease-1", Campaign: "navigation", Token: "run-1/0", Depth: 1,
+		Status: StatusLease, ID: "lease-1", DistSpec: jobs.DistSpec{Campaign: "navigation"}, Token: "run-1/0", Depth: 1,
 		Commands: []wireCommand{
 			{Action: command.Click, XPath: `//div[@id="edit"]`, X: 3, Y: 4},
 			{Action: command.Type, XPath: `//textarea[@name="body"]`, Key: "H", Code: 72},

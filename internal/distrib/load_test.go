@@ -72,7 +72,7 @@ func TestDistributedLoadFallsBackWithoutWorkers(t *testing.T) {
 	pool := NewPool(PoolOptions{Logf: t.Logf})
 	if _, ok := pool.DistributeLoad(context.Background(), []multiuser.ScheduleJob{{
 		Workload: "mixed", Users: 3, Schedule: "users:3;slots:0,1,2", Mode: 0,
-	}}); ok {
+	}}, jobs.DistSpec{Campaign: "load"}); ok {
 		t.Fatal("an idle pool with no workers accepted a load campaign")
 	}
 }

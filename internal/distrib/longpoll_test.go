@@ -62,13 +62,18 @@ func waitParked(t *testing.T, pool *Pool, n int64) {
 // DistributeLoad would, without waiting on it.
 func installLoadRun(pool *Pool) *poolRun {
 	run := &poolRun{
-		token:      "run-1",
-		queue:      []int{0},
-		leases:     make(map[string]*lease),
-		completed:  make([]bool, 1),
-		remaining:  1,
-		done:       make(chan struct{}),
-		loadShards: [][]multiuser.ScheduleJob{{{Index: 0}}},
+		n: 1,
+		fill: func(l *WireLease, i int) {
+			l.Campaign, l.LoadJobs = "load", []multiuser.ScheduleJob{{Index: 0}}
+		},
+		merge:     func(CompleteMsg, int) error { return nil },
+		cancel:    func([]bool) bool { return false },
+		token:     "run-1",
+		queue:     []int{0},
+		leases:    make(map[string]*lease),
+		completed: make([]bool, 1),
+		remaining: 1,
+		done:      make(chan struct{}),
 	}
 	pool.mu.Lock()
 	pool.run = run
@@ -291,8 +296,8 @@ func TestPollForfeitsLostGrant(t *testing.T) {
 // branch-point image digest, must still verify.
 func TestLeaseReplyChecksum(t *testing.T) {
 	l := WireLease{
-		Status: StatusLease, ID: "lease-1", Campaign: "navigation", Token: "run-1/0",
-		Parallelism: 2, Depth: 1,
+		Status: StatusLease, ID: "lease-1", Token: "run-1/0", Depth: 1,
+		DistSpec: jobs.DistSpec{Campaign: "navigation", Parallelism: 2},
 		// The long XPath keeps the body's middle byte, the one
 		// faults.CorruptBody flips, inside a JSON string.
 		Commands: []wireCommand{

@@ -72,24 +72,28 @@ type Pool struct {
 	retriesReported    int64
 }
 
-// poolRun is one campaign in flight: a trace campaign (plan set) or a
-// load campaign (loadShards set).
+// poolRun is one distributed run in flight: n shards that the pool
+// grants, re-queues and credits by index alone. What differs between a
+// campaign run and a load run is in its three functions.
 type poolRun struct {
-	jobs      []campaign.Job
-	plan      *campaign.ShardPlan
-	spec      jobs.DistSpec
+	n int
+	// fill writes shard i's work into a granted lease. A run without
+	// fill is the placeholder holding the slot while the run is
+	// planned: lease polls answer wait.
+	fill func(l *WireLease, i int)
+	// merge folds a worker's report of shard i into the run; an error
+	// rejects the report and re-queues the shard.
+	merge func(msg CompleteMsg, i int) error
+	// cancel ends the run when its context is cancelled, with the pool
+	// locked, and reports whether the run's results stand.
+	cancel func(completed []bool) bool
+
 	token     string // completion-token prefix, unique per run
 	queue     []int
 	leases    map[string]*lease
 	completed []bool
 	remaining int
 	done      chan struct{}
-
-	// Load campaigns: shards of schedule jobs keyed by schedule prefix,
-	// and the merged results (any order — the campaign reorders by job
-	// index).
-	loadShards [][]multiuser.ScheduleJob
-	loadOut    []multiuser.ScheduleResult
 }
 
 type lease struct {
@@ -203,55 +207,49 @@ func (p *Pool) wakeLocked() {
 // workers, pool busy, the plan refused, or every worker died
 // mid-campaign — hands the campaign back for local execution, which is
 // always equivalent (planning runs no oracle side effects a local
-// Execute cannot repeat).
+// Execute cannot repeat). Context cancellation ends the campaign the
+// way a local cancelled campaign does: unmerged shards resolve to
+// skipped outcomes.
 func (p *Pool) DistributeCampaign(ctx context.Context, exec *campaign.Executor, plan []campaign.Job, spec jobs.DistSpec) ([]campaign.Outcome, bool) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p.mu.Lock()
-	workers := p.connectedLocked()
-	if workers == 0 || p.run != nil {
-		p.mu.Unlock()
-		return nil, false
-	}
-	// Hold the slot with a placeholder while planning runs unlocked;
-	// lease polls see it and answer "wait".
-	placeholder := &poolRun{}
-	p.run = placeholder
-	p.mu.Unlock()
-
-	maxJobs := (len(plan) + p.opts.ShardFactor*workers - 1) / (p.opts.ShardFactor * workers)
-	sp, ok := exec.PlanShards(ctx, plan, maxJobs)
-	if !ok {
-		p.clearRun(placeholder)
-		return nil, false
-	}
-	if len(sp.Shards) == 0 {
-		// Every job ended on a shared spine and was finalized during
-		// planning; there is nothing to distribute.
-		p.clearRun(placeholder)
-		return sp.Outcomes, true
-	}
-	run := &poolRun{
-		jobs: plan, plan: sp, spec: spec,
-		leases:    make(map[string]*lease),
-		completed: make([]bool, len(sp.Shards)),
-		remaining: len(sp.Shards),
-		done:      make(chan struct{}),
-	}
-	for i := range sp.Shards {
-		run.queue = append(run.queue, i)
-	}
-	p.mu.Lock()
-	p.runSeq++
-	run.token = fmt.Sprintf("run-%d", p.runSeq)
-	p.run = run
-	p.campaigns++
-	p.wakeLocked()
-	p.mu.Unlock()
-
-	ok = p.await(ctx, run)
-	p.clearRun(run)
+	var sp *campaign.ShardPlan
+	ok := p.distribute(ctx, &p.campaigns, func(ctx context.Context, workers int) *poolRun {
+		maxJobs := (len(plan) + p.opts.ShardFactor*workers - 1) / (p.opts.ShardFactor * workers)
+		var ok bool
+		if sp, ok = exec.PlanShards(ctx, plan, maxJobs); !ok {
+			return nil
+		}
+		// A plan of no shards ended every job on a shared spine and
+		// finalized it during planning; there is nothing to distribute.
+		return &poolRun{
+			n: len(sp.Shards),
+			fill: func(l *WireLease, i int) {
+				l.DistSpec, l.Depth = spec, sp.Shards[i].Depth
+				l.Commands, l.Jobs = encodeJobs(plan, sp.Shards[i].Jobs)
+			},
+			merge: func(msg CompleteMsg, i int) error {
+				outs := make([]campaign.Outcome, len(msg.Outcomes))
+				for k, ev := range msg.Outcomes {
+					outs[k] = decodeOutcome(ev)
+				}
+				return sp.Merge(sp.Shards[i], outs)
+			},
+			cancel: func(completed []bool) bool {
+				for i, done := range completed {
+					if done {
+						continue
+					}
+					outs := make([]campaign.Outcome, len(sp.Shards[i].Jobs))
+					for k := range outs {
+						outs[k] = campaign.Outcome{Skipped: true}
+					}
+					if err := sp.Merge(sp.Shards[i], outs); err != nil {
+						p.logf("distrib: skipping shard %d: %v", i, err)
+					}
+				}
+				return true
+			},
+		}
+	})
 	if !ok {
 		return nil, false
 	}
@@ -266,43 +264,84 @@ func (p *Pool) DistributeCampaign(ctx context.Context, exec *campaign.Executor, 
 // so a re-queued shard re-run by a surviving worker — or a duplicate
 // completion dropped by first-merge-wins — yields the same results,
 // and findings are identical to local execution under any sharding.
-func (p *Pool) DistributeLoad(ctx context.Context, sjobs []multiuser.ScheduleJob) ([]multiuser.ScheduleResult, bool) {
+// The results come back in merge order; the campaign reorders them by
+// job index. A load run has no skipped-result shape, so context
+// cancellation hands it back to local execution, which reports the
+// cancellation.
+func (p *Pool) DistributeLoad(ctx context.Context, sjobs []multiuser.ScheduleJob, spec jobs.DistSpec) ([]multiuser.ScheduleResult, bool) {
+	out := make([]multiuser.ScheduleResult, 0, len(sjobs))
+	ok := p.distribute(ctx, &p.loadCampaigns, func(context.Context, int) *poolRun {
+		shards := shardSchedules(sjobs)
+		return &poolRun{
+			n:    len(shards),
+			fill: func(l *WireLease, i int) { l.DistSpec, l.LoadJobs = spec, shards[i] },
+			merge: func(msg CompleteMsg, i int) error {
+				shard := shards[i]
+				if len(msg.LoadResults) != len(shard) {
+					return fmt.Errorf("%d results for %d jobs", len(msg.LoadResults), len(shard))
+				}
+				for k, r := range msg.LoadResults {
+					if r.Index != shard[k].Index {
+						return fmt.Errorf("job index %d at position %d, want %d", r.Index, k, shard[k].Index)
+					}
+				}
+				out = append(out, msg.LoadResults...)
+				return nil
+			},
+			cancel: func([]bool) bool { return false },
+		}
+	})
+	if !ok {
+		return nil, false
+	}
+	return out, true
+}
+
+// distribute is the one run path of both kinds of run. It holds the
+// pool's run slot, has plan build the run for the connected workers
+// (unlocked: lease polls meanwhile answer wait), issues the run's
+// completion token, queues every shard, wakes the parked polls, awaits
+// the run, and frees the slot, counting the run into counter. ok is
+// false when no worker is connected, the pool is busy, plan refuses
+// (returns nil), or the run went back to local execution; a run of no
+// shards succeeds at once.
+func (p *Pool) distribute(ctx context.Context, counter *int, plan func(ctx context.Context, workers int) *poolRun) bool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if len(sjobs) == 0 {
-		return nil, true
-	}
 	p.mu.Lock()
-	if p.connectedLocked() == 0 || p.run != nil {
+	workers := p.connectedLocked()
+	if workers == 0 || p.run != nil {
 		p.mu.Unlock()
-		return nil, false
+		return false
 	}
-	shards := shardSchedules(sjobs)
-	run := &poolRun{
-		leases:     make(map[string]*lease),
-		completed:  make([]bool, len(shards)),
-		remaining:  len(shards),
-		done:       make(chan struct{}),
-		loadShards: shards,
-		loadOut:    make([]multiuser.ScheduleResult, 0, len(sjobs)),
+	placeholder := &poolRun{}
+	p.run = placeholder
+	p.mu.Unlock()
+
+	run := plan(ctx, workers)
+	if run == nil || run.n == 0 {
+		p.clearRun(placeholder)
+		return run != nil
 	}
-	for i := range shards {
+	run.leases = make(map[string]*lease)
+	run.completed = make([]bool, run.n)
+	run.remaining = run.n
+	run.done = make(chan struct{})
+	for i := 0; i < run.n; i++ {
 		run.queue = append(run.queue, i)
 	}
+	p.mu.Lock()
 	p.runSeq++
 	run.token = fmt.Sprintf("run-%d", p.runSeq)
 	p.run = run
-	p.loadCampaigns++
+	*counter++
 	p.wakeLocked()
 	p.mu.Unlock()
 
 	ok := p.await(ctx, run)
 	p.clearRun(run)
-	if !ok {
-		return nil, false
-	}
-	return run.loadOut, true
+	return ok
 }
 
 // shardSchedules groups schedule jobs by prefix: world size plus the
@@ -338,9 +377,9 @@ func (p *Pool) clearRun(run *poolRun) {
 }
 
 // await blocks until the run completes, reaping dead workers as it
-// waits. Context cancellation ends the campaign the way a local
-// cancelled campaign does: unfinished shards resolve to skipped
-// outcomes. Losing the whole fleet aborts to local execution.
+// waits. Context cancellation ends the run as its cancel says, and no
+// report merges after it. Losing the whole fleet aborts to local
+// execution.
 func (p *Pool) await(ctx context.Context, run *poolRun) bool {
 	tick := p.opts.LeaseTTL / 4
 	if tick < 5*time.Millisecond {
@@ -354,16 +393,12 @@ func (p *Pool) await(ctx context.Context, run *poolRun) bool {
 			return true
 		case <-ctx.Done():
 			p.mu.Lock()
-			if run.loadShards != nil {
-				// A load campaign has no skipped-outcome shape: hand the
-				// campaign back, and the local path reports the
-				// cancellation.
-				p.mu.Unlock()
-				return false
+			defer p.mu.Unlock()
+			stands := run.cancel(run.completed)
+			for i := range run.completed {
+				run.completed[i] = true
 			}
-			p.skipUnfinishedLocked(run)
-			p.mu.Unlock()
-			return true
+			return stands
 		case <-t.C:
 			if !p.reap(run) {
 				return false
@@ -403,26 +438,6 @@ func (p *Pool) reap(run *poolRun) bool {
 	return run.remaining == 0 || len(p.workers) > 0
 }
 
-// skipUnfinishedLocked resolves every unmerged shard to skipped
-// outcomes — the fate queued jobs meet in a locally cancelled campaign.
-func (p *Pool) skipUnfinishedLocked(run *poolRun) {
-	for si, done := range run.completed {
-		if done {
-			continue
-		}
-		sh := run.plan.Shards[si]
-		outs := make([]campaign.Outcome, len(sh.Jobs))
-		for i := range outs {
-			outs[i] = campaign.Outcome{Skipped: true}
-		}
-		if err := run.plan.Merge(sh, outs); err != nil {
-			p.logf("distrib: skipping shard %d: %v", si, err)
-		}
-		run.completed[si] = true
-		run.remaining--
-	}
-}
-
 // grant hands the next queued shard to a polling worker. It also
 // returns the current wake channel: if nothing was granted, it closes
 // once the queue gains a shard.
@@ -437,7 +452,7 @@ func (p *Pool) grantLocked(worker string) WireLease {
 	if run == nil {
 		return WireLease{Status: StatusIdle}
 	}
-	if run.plan == nil && run.loadShards == nil {
+	if run.fill == nil {
 		return WireLease{Status: StatusWait}
 	}
 	// Skip queue entries whose shard already completed: a reaped shard
@@ -458,33 +473,14 @@ func (p *Pool) grantLocked(worker string) WireLease {
 	p.nextLease++
 	l := &lease{id: fmt.Sprintf("lease-%d", p.nextLease), shard: si, worker: worker}
 	run.leases[l.id] = l
-	crash := p.opts.Faults.OnGrant(worker)
-	if run.loadShards != nil {
-		return WireLease{
-			Status:    StatusLease,
-			ID:        l.id,
-			Campaign:  "load",
-			TTLMillis: p.opts.LeaseTTL.Milliseconds(),
-			Token:     fmt.Sprintf("%s/%d", run.token, si),
-			Crash:     crash,
-			LoadJobs:  run.loadShards[si],
-		}
-	}
-	sh := run.plan.Shards[si]
 	wl := WireLease{
-		Status:         StatusLease,
-		ID:             l.id,
-		Campaign:       run.spec.Campaign,
-		Mode:           run.spec.Mode,
-		Replayer:       wireReplayer(run.spec.Replayer),
-		DisablePruning: run.spec.DisablePruning,
-		Parallelism:    run.spec.Parallelism,
-		Depth:          sh.Depth,
-		TTLMillis:      p.opts.LeaseTTL.Milliseconds(),
-		Token:          fmt.Sprintf("%s/%d", run.token, si),
-		Crash:          crash,
+		Status:    StatusLease,
+		ID:        l.id,
+		TTLMillis: p.opts.LeaseTTL.Milliseconds(),
+		Token:     fmt.Sprintf("%s/%d", run.token, si),
+		Crash:     p.opts.Faults.OnGrant(worker),
 	}
-	wl.Commands, wl.Jobs = encodeJobs(run.jobs, sh.Jobs)
+	run.fill(&wl, si)
 	return wl
 }
 
@@ -514,7 +510,7 @@ func (p *Pool) complete(msg CompleteMsg) {
 	defer p.mu.Unlock()
 	p.retriesReported += msg.Retries
 	run := p.run
-	if run == nil || (run.plan == nil && run.loadShards == nil) {
+	if run == nil || run.fill == nil {
 		p.completionsDeduped++
 		return
 	}
@@ -535,42 +531,11 @@ func (p *Pool) complete(msg CompleteMsg) {
 		}
 		return
 	}
-	if run.loadShards != nil {
-		shard := run.loadShards[si]
-		if len(msg.LoadResults) != len(shard) {
-			p.logf("distrib: rejecting load shard %d report from %s: %d results for %d jobs",
-				si, msg.Worker, len(msg.LoadResults), len(shard))
-			p.requeueLocked(run, si)
-			return
-		}
-		for i, r := range msg.LoadResults {
-			if r.Index != shard[i].Index {
-				p.logf("distrib: rejecting load shard %d report from %s: job index %d at position %d, want %d",
-					si, msg.Worker, r.Index, i, shard[i].Index)
-				p.requeueLocked(run, si)
-				return
-			}
-		}
-		run.loadOut = append(run.loadOut, msg.LoadResults...)
-		p.finishShardLocked(run, si)
-		return
-	}
-	sh := run.plan.Shards[si]
-	outs := make([]campaign.Outcome, len(msg.Outcomes))
-	for i, ev := range msg.Outcomes {
-		outs[i] = decodeOutcome(ev)
-	}
-	if err := run.plan.Merge(sh, outs); err != nil {
+	if err := run.merge(msg, si); err != nil {
 		p.logf("distrib: rejecting shard %d report from %s: %v", si, msg.Worker, err)
 		p.requeueLocked(run, si)
 		return
 	}
-	p.finishShardLocked(run, si)
-}
-
-// finishShardLocked marks a shard merged and closes the run when it was
-// the last one.
-func (p *Pool) finishShardLocked(run *poolRun, si int) {
 	run.completed[si] = true
 	run.remaining--
 	if run.remaining == 0 {
@@ -758,7 +723,7 @@ func (p *Pool) WriteMetrics(w io.Writer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	leased := 0
-	if p.run != nil && p.run.leases != nil {
+	if p.run != nil {
 		leased = len(p.run.leases)
 	}
 	fmt.Fprintf(w, "# HELP warr_distrib_workers_connected Worker processes heard from within the lease TTL.\n")

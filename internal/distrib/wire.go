@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/fnv1a"
@@ -81,21 +80,16 @@ type wireCommand struct {
 }
 
 // WireLease is the coordinator's reply to a lease poll. When Status is
-// StatusLease it carries one shard plus everything the worker needs to
-// rebuild the campaign's executor: the campaign kind names the oracle
-// (closures cannot cross processes), the browser mode names the
-// environment build, and the replayer options ride in their
-// serializable image form (hooks excluded — leases are never granted
-// for hooked campaigns).
+// StatusLease it carries one shard plus the campaign's DistSpec,
+// everything the worker needs to rebuild the campaign's executor: the
+// campaign name picks the oracle from the job kind table (closures
+// cannot cross processes), the browser mode names the environment
+// build, and the replayer options ride without their hooks (leases are
+// never granted for hooked campaigns).
 type WireLease struct {
 	Status string `json:"status"`
 	ID     string `json:"id,omitempty"`
-	// Campaign is "navigation", "timing", "fuzz", or "load".
-	Campaign       string                `json:"campaign,omitempty"`
-	Mode           browser.Mode          `json:"mode,omitempty"`
-	Replayer       replayer.OptionsImage `json:"replayer"`
-	DisablePruning bool                  `json:"disablePruning,omitempty"`
-	Parallelism    int                   `json:"parallelism,omitempty"`
+	jobs.DistSpec
 	// Depth is how many leading commands every job of the shard shares;
 	// the worker replays them once before the subtree branches.
 	Depth int `json:"depth,omitempty"`
@@ -257,28 +251,6 @@ func decodeLease(body []byte) (*WireLease, []campaign.Job, error) {
 		return nil, nil, err
 	}
 	return &l, cjobs, nil
-}
-
-// wireReplayer extracts the serializable subset of replayer options
-// for the lease. Hooked campaigns are never planned (PlanShards
-// refuses them), so nothing is lost.
-func wireReplayer(o replayer.Options) replayer.OptionsImage {
-	return replayer.OptionsImage{
-		Pacing:                    o.Pacing,
-		DisableRelaxation:         o.DisableRelaxation,
-		DisableCoordinateFallback: o.DisableCoordinateFallback,
-		Driver:                    o.Driver,
-	}
-}
-
-// unwireReplayer rebuilds worker-side replayer options from the lease.
-func unwireReplayer(o replayer.OptionsImage) replayer.Options {
-	return replayer.Options{
-		Pacing:                    o.Pacing,
-		DisableRelaxation:         o.DisableRelaxation,
-		DisableCoordinateFallback: o.DisableCoordinateFallback,
-		Driver:                    o.Driver,
-	}
 }
 
 // encodeOutcome renders one shard outcome as the engine's per-trace

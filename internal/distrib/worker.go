@@ -17,13 +17,9 @@ import (
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
-	"github.com/dslab-epfl/warr/internal/errmodel"
 	"github.com/dslab-epfl/warr/internal/fnv1a"
-	"github.com/dslab-epfl/warr/internal/jobs"
 	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/registry"
-	"github.com/dslab-epfl/warr/internal/replayer"
-	"github.com/dslab-epfl/warr/internal/weberr"
 )
 
 // workerSeq disambiguates default worker ids within one process
@@ -171,12 +167,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("distrib: %s: crash directive on lease %s; dying", w.opts.ID, l.ID)
 			return ErrCrashed
 		}
-		msg := CompleteMsg{Worker: w.opts.ID, Lease: l.ID, Token: l.Token}
-		if l.Campaign == "load" {
-			msg.LoadResults = w.executeLoad(ctx, l)
-		} else {
-			msg.Outcomes = w.execute(ctx, l, cjobs)
-		}
+		// A heartbeat loop keeps the lease alive while the shard runs.
+		hctx, stop := context.WithCancel(ctx)
+		go w.heartbeat(hctx, l)
+		msg := w.execute(ctx, l, cjobs)
+		stop()
 		if ctx.Err() != nil {
 			// Dying mid-shard: report nothing. Partial outcomes must not
 			// merge — the lease expires and the shard re-runs whole.
@@ -253,77 +248,30 @@ func (w *Worker) lease(ctx context.Context) (*WireLease, []campaign.Job, error) 
 	return decodeLease(body)
 }
 
-// execute runs one leased shard: replay its shared prefix in a fresh
-// world and continue the subtree (campaign.Executor.ExecuteShard). A
-// heartbeat loop keeps the lease alive for the duration.
-func (w *Worker) execute(ctx context.Context, l *WireLease, cjobs []campaign.Job) []jobs.OutcomeEvent {
-	hctx, stop := context.WithCancel(ctx)
-	defer stop()
-	go w.heartbeat(hctx, l)
-
-	outs := w.executor(l).ExecuteShard(ctx, cjobs, l.Depth)
-	evs := make([]jobs.OutcomeEvent, len(outs))
-	for i, out := range outs {
-		evs[i] = encodeOutcome(i, out)
+// execute runs one leased shard and builds its report. A campaign
+// shard runs on the executor the job kind table rebuilds from the
+// lease: the shared prefix replays in a fresh world and the subtree
+// continues through the standard campaign scheduler
+// (campaign.Executor.ExecuteShard). A load shard executes each
+// schedule job in a fresh shared world from the process's workload
+// registry — the schedule codec is the whole recipe. A trace shard of a
+// campaign this build does not know reports no outcomes, which the
+// coordinator rejects.
+func (w *Worker) execute(ctx context.Context, l *WireLease, cjobs []campaign.Job) CompleteMsg {
+	msg := CompleteMsg{Worker: w.opts.ID, Lease: l.ID, Token: l.Token}
+	if exec := l.ShardExecutor(w.opts.EnvFactory); exec != nil {
+		for i, out := range exec.ExecuteShard(ctx, cjobs, l.Depth) {
+			msg.Outcomes = append(msg.Outcomes, encodeOutcome(i, out))
+		}
+		return msg
 	}
-	return evs
-}
-
-// executeLoad runs one leased load shard: each schedule job rebuilds
-// its shared world from the process's workload registry and executes
-// deterministically — the schedule codec is the whole recipe. A heartbeat loop keeps the lease alive.
-func (w *Worker) executeLoad(ctx context.Context, l *WireLease) []multiuser.ScheduleResult {
-	hctx, stop := context.WithCancel(ctx)
-	defer stop()
-	go w.heartbeat(hctx, l)
-
-	results := make([]multiuser.ScheduleResult, 0, len(l.LoadJobs))
 	for _, sj := range l.LoadJobs {
 		if ctx.Err() != nil {
-			return nil
+			break
 		}
-		results = append(results, multiuser.ExecuteScheduleJob(sj))
+		msg.LoadResults = append(msg.LoadResults, multiuser.ExecuteScheduleJob(sj))
 	}
-	return results
-}
-
-// executor rebuilds the campaign's executor from the lease: the
-// campaign kind names the oracle (the default console oracle — specs
-// with custom oracles are never distributed), the mode names the
-// environment build, and the replayer options come off the wire.
-func (w *Worker) executor(l *WireLease) *campaign.Executor {
-	mode := l.Mode
-	if mode == 0 {
-		mode = browser.DeveloperMode
-	}
-	copts := weberr.CampaignOptions{
-		Replayer:       unwireReplayer(l.Replayer),
-		DisablePruning: l.DisablePruning,
-		Parallelism:    l.Parallelism,
-	}
-	newEnv := w.opts.EnvFactory(mode)
-	switch l.Campaign {
-	case "timing":
-		return weberr.TimingExecutor(newEnv, copts)
-	case "fuzz":
-		// Fuzz shards replay under the coordinator's determinism
-		// contract: pruning stays off (the fuzz loop owns the prune
-		// table), the oracle gates like the navigation campaign, and
-		// every replay reports its coverage fingerprint back.
-		return campaign.New(newEnv, campaign.Options{
-			Parallelism:    l.Parallelism,
-			Replayer:       unwireReplayer(l.Replayer),
-			DisablePruning: true,
-			Inspect: func(job campaign.Job, res *replayer.Result, tab *browser.Tab) error {
-				if res.Failed > 0 || res.Cancelled {
-					return nil
-				}
-				return weberr.ConsoleOracle(tab, res)
-			},
-			Coverage: errmodel.CampaignCoverage,
-		})
-	}
-	return weberr.NavigationExecutor(newEnv, copts)
+	return msg
 }
 
 // heartbeat renews the worker's liveness at a third of the lease TTL

@@ -17,6 +17,7 @@ import (
 	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
+	"github.com/dslab-epfl/warr/internal/weberr"
 )
 
 // Engine errors.
@@ -69,20 +70,45 @@ type Options struct {
 
 // DistSpec describes a campaign to a Distributor in wire-safe terms:
 // everything a worker process needs to rebuild the exact executor the
-// engine would run locally. Closures (custom oracles, hooks) cannot
-// cross a process boundary, so specs carrying them are never offered.
+// engine would run locally. Its JSON form is carried in every lease.
+// Closures (custom oracles, hooks) cannot cross a process boundary, so
+// specs carrying them are never offered.
 type DistSpec struct {
-	// Campaign is "navigation", "timing", or "fuzz" — it names the
-	// oracle and executor shape the worker reconstructs.
-	Campaign string
+	// Campaign is the kind table's campaign name ("navigation",
+	// "timing", "fuzz", or "load"); it names the oracle and executor
+	// shape the worker reconstructs.
+	Campaign string `json:"campaign,omitempty"`
 	// Mode is the browser build of the worker's environments.
-	Mode browser.Mode
+	Mode browser.Mode `json:"mode,omitempty"`
 	// Replayer configures the worker's replay sessions.
-	Replayer replayer.Options
+	Replayer replayer.Options `json:"replayer"`
 	// DisablePruning is the §V-A heuristic-1 ablation.
-	DisablePruning bool
+	DisablePruning bool `json:"disablePruning,omitempty"`
 	// Parallelism is the per-worker executor concurrency.
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
+}
+
+// ShardExecutor rebuilds the executor a distributed campaign's shards
+// run on, over the environments envFactory builds for the spec's mode:
+// what a distrib worker executes a leased shard with. It returns nil
+// when the campaign's shards are not traces (load runs ship schedule
+// jobs) or the campaign is unknown to this build.
+func (d DistSpec) ShardExecutor(envFactory func(browser.Mode) campaign.EnvFactory) *campaign.Executor {
+	for _, k := range kinds {
+		if k.campaign != d.Campaign || k.shardExecutor == nil {
+			continue
+		}
+		mode := d.Mode
+		if mode == 0 {
+			mode = browser.DeveloperMode
+		}
+		return k.shardExecutor(envFactory(mode), weberr.CampaignOptions{
+			Replayer:       d.Replayer,
+			DisablePruning: d.DisablePruning,
+			Parallelism:    d.Parallelism,
+		})
+	}
+	return nil
 }
 
 // Distributor executes a campaign plan across a worker pool. ok ==
@@ -102,8 +128,9 @@ type Distributor interface {
 // exact shared world locally; ok == false falls back to in-process
 // execution, and when ok the results must be complete and keyed by the
 // jobs' indices — the campaign reassembles them deterministically.
+// spec carries only the campaign name.
 type LoadDistributor interface {
-	DistributeLoad(ctx context.Context, sjobs []multiuser.ScheduleJob) ([]multiuser.ScheduleResult, bool)
+	DistributeLoad(ctx context.Context, sjobs []multiuser.ScheduleJob, spec DistSpec) ([]multiuser.ScheduleResult, bool)
 }
 
 // Engine runs jobs over a bounded queue and a worker pool.
@@ -171,7 +198,7 @@ func (e *Engine) factory(mode browser.Mode) campaign.EnvFactory {
 // when the bounded queue is full and ErrDraining once a drain began —
 // it never blocks the caller.
 func (e *Engine) Submit(spec Spec) (*Job, error) {
-	if spec.Kind.String() == "unknown" {
+	if spec.Kind.entry().run == nil {
 		return nil, fmt.Errorf("jobs: unknown job kind %d", spec.Kind)
 	}
 	if spec.Mode == 0 {
@@ -220,8 +247,7 @@ func (e *Engine) enqueue(spec Spec, resumeFrom *Job) (*Job, error) {
 	// Write-ahead: the accepted submission hits the journal before the
 	// caller learns the job id, so an acknowledged job is a durable job.
 	if j := e.opts.Journal; j != nil && journalable(spec) {
-		si := imageSpec(spec)
-		j.note(journalRecord{Rec: "submit", Job: job.ID, Spec: &si})
+		j.note(journalRecord{Rec: "submit", Job: job.ID, Spec: &spec})
 	}
 	return job, nil
 }
@@ -317,7 +343,7 @@ func (e *Engine) Revive(recovered []RecoveredJob) []*Job {
 	j := e.opts.Journal
 	var out []*Job
 	for _, rj := range recovered {
-		if rj.Spec.Kind == 0 {
+		if rj.Spec.Kind.entry().run == nil {
 			if j != nil {
 				j.warnf("jobs: not reviving epoch %d %s: unknown kind", rj.Epoch, rj.ID)
 			}
@@ -406,23 +432,8 @@ func (e *Engine) QueueDepth() (depth, capacity int) {
 // run executes one job on a worker goroutine.
 func (e *Engine) run(job *Job) {
 	job.setState(StateRunning)
-	var err error
-	switch job.Spec.Kind {
-	case KindReplay:
-		err = e.runReplay(job)
-	case KindNavigationCampaign:
-		err = e.runNavigationCampaign(job)
-	case KindTimingCampaign:
-		err = e.runTimingCampaign(job)
-	case KindReport:
-		err = e.runReport(job)
-	case KindFuzzCampaign:
-		err = e.runFuzzCampaign(job)
-	case KindLoadCampaign:
-		err = e.runLoadCampaign(job)
-	default:
-		err = fmt.Errorf("jobs: unknown job kind %d", job.Spec.Kind)
-	}
+	k := job.Spec.Kind.entry()
+	err := k.run(e, job, k.campaign)
 	state := StateDone
 	switch {
 	case err != nil:

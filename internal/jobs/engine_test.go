@@ -9,6 +9,8 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -686,6 +688,62 @@ func TestReportIngestionClassifiesConsoleError(t *testing.T) {
 	}
 	if !sawClassification {
 		t.Error("no classification event in the stream")
+	}
+}
+
+// TestReportIngestionClassifiesReplayFailure drives the AUsER pipeline
+// on a report whose trace holds one command that cannot resolve, with
+// relaxation and the coordinate fallback off: the verdict is a replay
+// failure naming that command, the reproducer is the shortest prefix
+// that still fails, and the minimizer spends one replay per bisection
+// step on top of the ingestion replay.
+func TestReportIngestionClassifiesReplayFailure(t *testing.T) {
+	tr := recordScenario(t, apps.AuthenticateScenario())
+	broken := -1
+	for i := 1; i < len(tr.Commands)-1; i++ {
+		if tr.Commands[i].Action == command.Click {
+			broken = i
+		}
+	}
+	if broken < 0 {
+		t.Fatal("no click inside the trace")
+	}
+	tr = tr.Clone()
+	tr.Commands[broken].XPath = `//div[@id="no-such-element"]`
+	e := New(Options{Workers: 1, QueueDepth: 1})
+	defer e.Close()
+	job, err := e.Submit(Spec{Kind: KindReport, Trace: tr, Replayer: replayer.Options{
+		DisableRelaxation: true, DisableCoordinateFallback: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, job)
+	cls := job.Classification()
+	if job.State() != StateDone || cls == nil {
+		t.Fatalf("ingestion ended %s (err %v) with classification %v", job.State(), job.Err(), cls)
+	}
+	if cls.Verdict != "replay-failure" {
+		t.Fatalf("verdict %q, want replay-failure (signal %q)", cls.Verdict, cls.Signal)
+	}
+	if want := fmt.Sprintf("command %d (%s) failed: ", broken, command.Click); !strings.HasPrefix(cls.Signal, want) {
+		t.Errorf("signal %q, want it to start %q", cls.Signal, want)
+	}
+	if !reflect.DeepEqual(cls.Minimized.Commands, tr.Commands[:broken+1]) || cls.Minimized.StartURL != tr.StartURL {
+		t.Errorf("minimized to %d commands, want the %d-command prefix ending at the broken one",
+			len(cls.Minimized.Commands), broken+1)
+	}
+	// The bisection keeps a failing length hi and a passing length lo;
+	// a prefix fails exactly when it holds the broken command.
+	steps := 0
+	for lo, hi := -1, len(tr.Commands); hi-lo > 1; steps++ {
+		if mid := (lo + hi) / 2; mid > broken {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if cls.Replays != 1+steps {
+		t.Errorf("minimizer spent %d replays, want 1 + %d bisection steps", cls.Replays, steps)
 	}
 }
 

@@ -1,13 +1,20 @@
 // Package jobs is the shared job engine behind every face of this
-// module: a typed job (one-shot replay, WebErr navigation/timing
-// campaign, AUsER report ingestion) over the replayer.Session and
-// campaign.Executor APIs, a bounded work queue with backpressure and
-// graceful drain, a per-job event bus streaming step-by-step results,
-// cancellation via context and resumption via Session forking, and
-// Prometheus-style metrics. The command-line tools submit jobs to an
-// in-process engine and print its events; warr-serve exposes the same
-// engine over HTTP/SSE — so there is exactly one execution path no
-// matter which face drives it.
+// module. A job is a typed spec of one of six kinds: one-shot replay,
+// WebErr navigation and timing campaigns, AUsER report ingestion, the
+// error-model fuzz campaign, and the multi-user load campaign. One kind
+// table (job.go) holds what differs between kinds: name, input, runner
+// and campaign name. The engine runs jobs over the replayer.Session,
+// campaign.Executor and multiuser APIs, behind a bounded work queue
+// with backpressure and graceful drain, a per-job event bus streaming
+// step-by-step results, cancellation via context, and Prometheus-style
+// metrics. A cancelled job resumes as a new job: a replay continues on
+// a fork of its retained session when the world can fork, a campaign
+// re-runs only the traces that never reached a judgeable end, and fuzz,
+// load and report jobs re-run whole. After a crash, the write-ahead journal
+// re-runs each unfinished job's spec. The command-line tools submit
+// jobs to an in-process engine and print its events; warr-serve exposes
+// the same engine over HTTP/SSE — so there is exactly one execution
+// path no matter which face drives it.
 package jobs
 
 // This file defines the event vocabulary and its JSON-lines encoding.

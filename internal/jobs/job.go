@@ -15,7 +15,8 @@ import (
 	"github.com/dslab-epfl/warr/internal/weberr"
 )
 
-// Kind selects what a job does with its trace.
+// Kind selects what a job does: its entry in the kind table. Its JSON
+// form is its name.
 type Kind int
 
 // Job kinds.
@@ -45,35 +46,72 @@ const (
 	KindLoadCampaign
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindReplay:
-		return "replay"
-	case KindNavigationCampaign:
-		return "navigation-campaign"
-	case KindTimingCampaign:
-		return "timing-campaign"
-	case KindReport:
-		return "report"
-	case KindFuzzCampaign:
-		return "fuzz-campaign"
-	case KindLoadCampaign:
-		return "load-campaign"
-	default:
-		return "unknown"
-	}
+// kindEntry is one job kind's row in the kind table: everything about
+// the kind outside its runner's body and its events.
+type kindEntry struct {
+	// name is the kind's wire name: the "kind" of journal specs and job
+	// requests, and the kind label of state events and metrics.
+	name string
+	// workload marks kinds that run a registered multi-user workload
+	// instead of a trace.
+	workload bool
+	// campaign names a campaign kind in DistSpec.Campaign, in leases
+	// and in its report event ("" for kinds that run no campaign).
+	campaign string
+	// run executes one job of the kind on an engine worker; name is the
+	// entry's campaign name.
+	run func(e *Engine, job *Job, name string) error
+	// shardExecutor builds the executor a distrib worker runs the
+	// campaign's shards on (nil: its shards are not traces).
+	shardExecutor func(newEnv campaign.EnvFactory, opts weberr.CampaignOptions) *campaign.Executor
 }
 
-// ParseKind resolves a kind name ("replay", "navigation-campaign",
-// "timing-campaign", "report", "fuzz-campaign", "load-campaign");
-// unknown names return 0.
-func ParseKind(s string) Kind {
-	for _, k := range Kinds() {
-		if k.String() == s {
-			return k
+// kinds is the kind table, indexed by Kind. Entry 0 stands for every
+// kind this build does not know.
+var kinds = [...]kindEntry{
+	0:          {name: "unknown"},
+	KindReplay: {name: "replay", run: (*Engine).runReplay},
+	KindNavigationCampaign: {name: "navigation-campaign", campaign: "navigation",
+		run: (*Engine).runNavigationCampaign, shardExecutor: weberr.NavigationExecutor},
+	KindTimingCampaign: {name: "timing-campaign", campaign: "timing",
+		run: (*Engine).runTimingCampaign, shardExecutor: weberr.TimingExecutor},
+	KindReport: {name: "report", run: (*Engine).runReport},
+	KindFuzzCampaign: {name: "fuzz-campaign", campaign: "fuzz",
+		run: (*Engine).runFuzzCampaign, shardExecutor: fuzzShardExecutor},
+	KindLoadCampaign: {name: "load-campaign", workload: true, campaign: "load",
+		run: (*Engine).runLoadCampaign},
+}
+
+func (k Kind) entry() *kindEntry {
+	if k < 1 || int(k) >= len(kinds) {
+		return &kinds[0]
+	}
+	return &kinds[k]
+}
+
+// String returns the kind's name ("unknown" for a kind this build does
+// not know).
+func (k Kind) String() string { return k.entry().name }
+
+// TakesWorkload reports whether jobs of the kind run a registered
+// multi-user workload instead of a trace.
+func (k Kind) TakesWorkload() bool { return k.entry().workload }
+
+// MarshalText encodes the kind as its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText resolves a kind name. A name this build does not know
+// decodes to 0 and no error: a journal a newer build wrote must still
+// decode line by line, so revival skips that one job with a warning
+// instead of the scan truncating every record after it.
+func (k *Kind) UnmarshalText(text []byte) error {
+	*k = 0
+	for i := KindReplay; int(i) < len(kinds); i++ {
+		if kinds[i].name == string(text) {
+			*k = i
 		}
 	}
-	return 0
+	return nil
 }
 
 // State is a job's lifecycle position.
@@ -113,70 +151,73 @@ func States() []State {
 }
 
 // Spec is a typed job specification — everything a runner needs, and
-// nothing it can discover on its own.
+// nothing it can discover on its own. Its JSON form is the journal's
+// record of a submission; the in-process-only fields (Oracle, Grammar,
+// replay hooks) do not serialize, and a spec carrying Oracle or Grammar
+// is never journaled.
 type Spec struct {
 	// Kind selects the runner.
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// Trace is the input trace (the correct trace for campaigns, the
 	// reported trace for report ingestion).
-	Trace command.Trace
+	Trace command.Trace `json:"trace,omitempty"`
 	// TraceName labels the trace in listings (scenario name, archive
 	// id).
-	TraceName string
+	TraceName string `json:"traceName,omitempty"`
 	// Mode is the browser build of the execution environments; zero
 	// means DeveloperMode, the replay-fidelity build every tool uses.
-	Mode browser.Mode
+	Mode browser.Mode `json:"mode,omitempty"`
 	// Replayer configures the replay sessions. Hooks are in-process
 	// only; attaching them disables campaign prefix sharing exactly as
 	// it always has.
-	Replayer replayer.Options
+	Replayer replayer.Options `json:"replayer"`
 	// Replicas, for replay jobs, replays the trace N times concurrently
 	// in isolated environments (warr-replay -parallel). 0 or 1 replays
 	// once, streaming each step.
-	Replicas int
+	Replicas int `json:"replicas,omitempty"`
 	// Parallelism is the campaign executor's concurrency (0 or 1 =
 	// sequential).
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 	// MaxTraces bounds a navigation campaign (0 = all mutants).
-	MaxTraces int
+	MaxTraces int `json:"maxTraces,omitempty"`
 	// DisablePruning and DisablePrefixSharing are the campaign
 	// ablations.
-	DisablePruning       bool
-	DisablePrefixSharing bool
+	DisablePruning       bool `json:"disablePruning,omitempty"`
+	DisablePrefixSharing bool `json:"disablePrefixSharing,omitempty"`
 	// Oracle overrides the campaign oracle (default ConsoleOracle). In-
 	// process only.
-	Oracle weberr.Oracle
+	Oracle weberr.Oracle `json:"-"`
 	// FuzzBudget, for fuzz campaigns, bounds how many replays the
 	// campaign spends (0 = campaign.DefaultFuzzBudget).
-	FuzzBudget int
+	FuzzBudget int `json:"fuzzBudget,omitempty"`
 	// FuzzSeed seeds the fuzz campaign's mutation stream; a fixed seed
 	// and budget make the findings report byte-identical across runs.
-	FuzzSeed int64
+	FuzzSeed int64 `json:"fuzzSeed,omitempty"`
 	// Grammar, for navigation campaigns, skips task-tree inference and
 	// injects errors into this grammar directly — for callers that
 	// already inferred it (the corpus runner fingerprints the grammar
 	// before running campaigns). In-process only.
-	Grammar *weberr.Grammar
+	Grammar *weberr.Grammar `json:"-"`
 	// Description, for report jobs, is the user's bug description.
-	Description string
+	Description string `json:"description,omitempty"`
 	// Workload, for load campaigns, names the multi-user workload (load
 	// campaigns take a workload, not a trace).
-	Workload string
+	Workload string `json:"workload,omitempty"`
 	// Users is a load campaign's total virtual user count; Cohort is how
 	// many share one world; ScheduleBudget bounds the interleavings
 	// explored per world size (0s take the multiuser defaults).
-	Users          int
-	Cohort         int
-	ScheduleBudget int
+	Users          int `json:"users,omitempty"`
+	Cohort         int `json:"cohort,omitempty"`
+	ScheduleBudget int `json:"scheduleBudget,omitempty"`
 	// ScheduleSeed seeds the interleaving explorer; a fixed seed and
 	// budget make the findings report byte-identical across runs.
-	ScheduleSeed int64
+	ScheduleSeed int64 `json:"scheduleSeed,omitempty"`
 	// Duration, for load campaigns, is each world's virtual time budget
-	// (0 = default per-slot pacing).
-	Duration time.Duration
+	// (0 = default per-slot pacing). It encodes as int64 nanoseconds.
+	Duration time.Duration `json:"durationNanos,omitempty"`
 	// LoadSharing disabled re-executes identical world schedules instead
 	// of sharing their results — the load campaign's cost ablation.
-	DisableLoadSharing bool
+	DisableLoadSharing bool `json:"disableLoadSharing,omitempty"`
 }
 
 // Classification is the stored outcome of AUsER report ingestion.

@@ -2,8 +2,8 @@ package jobs
 
 // The write-ahead job journal: warr-serve's crash safety. Every
 // journalable submission is appended (fsync'd) to an append-only
-// JSON-lines file before results exist and every terminal state
-// follows it — so a process killed without warning can, on the next
+// JSON-lines file, its spec in Spec's own JSON form, before results
+// exist and every terminal state follows it — so a process killed without warning can, on the next
 // boot, replay the journal and re-run every job whose work was lost.
 // The journaled spec is the checkpoint: jobs run on virtual time with
 // seeded randomness, so re-running a spec rebuilds the same worlds and
@@ -38,40 +38,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
-
-	"github.com/dslab-epfl/warr/internal/browser"
-	"github.com/dslab-epfl/warr/internal/command"
-	"github.com/dslab-epfl/warr/internal/replayer"
 )
-
-// SpecImage is the journal's serializable form of a job Spec: every
-// wire-safe field, and nothing else. In-process-only fields (Oracle,
-// Grammar, replay hooks) make a spec non-journalable or are dropped —
-// hooks are observers, and a revived job replays to the same results
-// without them.
-type SpecImage struct {
-	Kind                 string                `json:"kind"`
-	Trace                command.Trace         `json:"trace,omitempty"`
-	TraceName            string                `json:"traceName,omitempty"`
-	Mode                 browser.Mode          `json:"mode,omitempty"`
-	Replayer             replayer.OptionsImage `json:"replayer"`
-	Replicas             int                   `json:"replicas,omitempty"`
-	Parallelism          int                   `json:"parallelism,omitempty"`
-	MaxTraces            int                   `json:"maxTraces,omitempty"`
-	DisablePruning       bool                  `json:"disablePruning,omitempty"`
-	DisablePrefixSharing bool                  `json:"disablePrefixSharing,omitempty"`
-	FuzzBudget           int                   `json:"fuzzBudget,omitempty"`
-	FuzzSeed             int64                 `json:"fuzzSeed,omitempty"`
-	Description          string                `json:"description,omitempty"`
-	Workload             string                `json:"workload,omitempty"`
-	Users                int                   `json:"users,omitempty"`
-	Cohort               int                   `json:"cohort,omitempty"`
-	ScheduleBudget       int                   `json:"scheduleBudget,omitempty"`
-	ScheduleSeed         int64                 `json:"scheduleSeed,omitempty"`
-	DurationNanos        int64                 `json:"durationNanos,omitempty"`
-	DisableLoadSharing   bool                  `json:"disableLoadSharing,omitempty"`
-}
 
 // journalable reports whether a spec survives the process boundary:
 // custom oracles and injected grammars are closures-in-spirit and keep
@@ -80,79 +47,16 @@ func journalable(spec Spec) bool {
 	return spec.Oracle == nil && spec.Grammar == nil
 }
 
-// imageSpec converts a Spec to its journal form.
-func imageSpec(spec Spec) SpecImage {
-	o := spec.Replayer
-	return SpecImage{
-		Kind:      spec.Kind.String(),
-		Trace:     spec.Trace,
-		TraceName: spec.TraceName,
-		Mode:      spec.Mode,
-		Replayer: replayer.OptionsImage{
-			Pacing:                    o.Pacing,
-			DisableRelaxation:         o.DisableRelaxation,
-			DisableCoordinateFallback: o.DisableCoordinateFallback,
-			Driver:                    o.Driver,
-		},
-		Replicas:             spec.Replicas,
-		Parallelism:          spec.Parallelism,
-		MaxTraces:            spec.MaxTraces,
-		DisablePruning:       spec.DisablePruning,
-		DisablePrefixSharing: spec.DisablePrefixSharing,
-		FuzzBudget:           spec.FuzzBudget,
-		FuzzSeed:             spec.FuzzSeed,
-		Description:          spec.Description,
-		Workload:             spec.Workload,
-		Users:                spec.Users,
-		Cohort:               spec.Cohort,
-		ScheduleBudget:       spec.ScheduleBudget,
-		ScheduleSeed:         spec.ScheduleSeed,
-		DurationNanos:        int64(spec.Duration),
-		DisableLoadSharing:   spec.DisableLoadSharing,
-	}
-}
-
-// Spec rebuilds the runnable spec from its journal form.
-func (si SpecImage) Spec() Spec {
-	return Spec{
-		Kind:      ParseKind(si.Kind),
-		Trace:     si.Trace,
-		TraceName: si.TraceName,
-		Mode:      si.Mode,
-		Replayer: replayer.Options{
-			Pacing:                    si.Replayer.Pacing,
-			DisableRelaxation:         si.Replayer.DisableRelaxation,
-			DisableCoordinateFallback: si.Replayer.DisableCoordinateFallback,
-			Driver:                    si.Replayer.Driver,
-		},
-		Replicas:             si.Replicas,
-		Parallelism:          si.Parallelism,
-		MaxTraces:            si.MaxTraces,
-		DisablePruning:       si.DisablePruning,
-		DisablePrefixSharing: si.DisablePrefixSharing,
-		FuzzBudget:           si.FuzzBudget,
-		FuzzSeed:             si.FuzzSeed,
-		Description:          si.Description,
-		Workload:             si.Workload,
-		Users:                si.Users,
-		Cohort:               si.Cohort,
-		ScheduleBudget:       si.ScheduleBudget,
-		ScheduleSeed:         si.ScheduleSeed,
-		Duration:             time.Duration(si.DurationNanos),
-		DisableLoadSharing:   si.DisableLoadSharing,
-	}
-}
-
 // journalRecord is one journal line; Rec selects which fields are set.
 type journalRecord struct {
-	Rec     string     `json:"rec"`
-	Job     string     `json:"job,omitempty"`
-	Spec    *SpecImage `json:"spec,omitempty"`
-	State   string     `json:"state,omitempty"`
-	Cause   string     `json:"cause,omitempty"`
-	Error   string     `json:"error,omitempty"`
-	As      string     `json:"as,omitempty"`
-	OfEpoch int        `json:"ofEpoch,omitempty"`
+	Rec     string `json:"rec"`
+	Job     string `json:"job,omitempty"`
+	Spec    *Spec  `json:"spec,omitempty"`
+	State   string `json:"state,omitempty"`
+	Cause   string `json:"cause,omitempty"`
+	Error   string `json:"error,omitempty"`
+	As      string `json:"as,omitempty"`
+	OfEpoch int    `json:"ofEpoch,omitempty"`
 }
 
 // RecoveredJob is one journal-recovered job awaiting revival: the epoch
@@ -212,7 +116,7 @@ func OpenJournal(path string, logf func(format string, args ...any)) (*Journal, 
 type recState struct {
 	epoch    int
 	id       string
-	spec     *SpecImage
+	spec     *Spec
 	terminal string
 	cause    string
 	resumed  bool
@@ -292,7 +196,7 @@ func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 		recovered = append(recovered, RecoveredJob{
 			Epoch: st.epoch,
 			ID:    st.id,
-			Spec:  st.spec.Spec(),
+			Spec:  *st.spec,
 		})
 	}
 	return recovered, good, nil

@@ -318,22 +318,14 @@ func TestJournalOldCheckpointRevivesWhole(t *testing.T) {
 	wantStream := encodeStream(t, refJob, refJob.ID)
 	ref.Close()
 
-	si := imageSpec(Spec{Kind: KindReplay, Trace: tr, Mode: browser.DeveloperMode})
-	submit, err := json.Marshal(journalRecord{Rec: "submit", Job: "job-1", Spec: &si})
+	trace, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drained, err := json.Marshal(journalRecord{Rec: "state", Job: "job-1", State: StateCancelled.String(), Cause: CauseDrained.Error()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "old.journal")
-	old := `{"rec":"boot"}` + "\n" + string(submit) + "\n" +
-		`{"rec":"checkpoint","job":"job-1","image":"!!not base64, not an image!!"}` + "\n" +
-		string(drained) + "\n"
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := writeJournal(t, `{"rec":"boot"}`,
+		`{"rec":"submit","job":"job-1","spec":{"kind":"replay","trace":`+string(trace)+`,"mode":2,"replayer":`+zeroReplayerJSON+`}}`,
+		`{"rec":"checkpoint","job":"job-1","image":"!!not base64, not an image!!"}`,
+		`{"rec":"state","job":"job-1","state":"cancelled","cause":"jobs: checkpointed by engine drain"}`)
 
 	var mu sync.Mutex
 	var warnings []string
@@ -526,7 +518,6 @@ func TestTerminalRecordPrecedesPublication(t *testing.T) {
 // truncated away — never a panic, and never poison for the records
 // before it or after the next boot.
 func TestJournalTornTailRecovery(t *testing.T) {
-	si := imageSpec(Spec{Kind: KindReplay})
 	cases := []struct {
 		name string
 		tail string
@@ -538,16 +529,7 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "jobs.journal")
-			j1, _, err := OpenJournal(path, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j1.note(journalRecord{Rec: "submit", Job: "job-1", Spec: &si})
-			j1.note(journalRecord{Rec: "submit", Job: "job-2", Spec: &si})
-			if err := j1.Close(); err != nil {
-				t.Fatal(err)
-			}
+			path := writeJournal(t, `{"rec":"boot"}`, emptyReplaySubmit("job-1"), emptyReplaySubmit("job-2"))
 			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -602,37 +584,80 @@ func TestJournalTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestJournalForwardReadable pins forward compatibility: record kinds a
-// newer build might write pass through an older scan without warnings,
-// truncation, or recovery damage.
-func TestJournalForwardReadable(t *testing.T) {
-	si := imageSpec(Spec{Kind: KindReplay})
-	path := filepath.Join(t.TempDir(), "jobs.journal")
-	j1, _, err := OpenJournal(path, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1.note(journalRecord{Rec: "submit", Job: "job-1", Spec: &si})
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"rec":"shiny-new-thing","payload":42}` + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+// zeroReplayerJSON is the journal encoding of zero replayer options.
+const zeroReplayerJSON = `{"pacing":0,"driver":{"DisableDoubleClickFix":false,"LegacyTextInput":false,"DisableSrclessIframeFix":false,"DisableUnloadFix":false}}`
 
-	j2, recovered, err := OpenJournal(path, func(format string, args ...any) {
-		t.Errorf("forward-compatible record warned: "+format, args...)
-	})
+// emptyReplaySubmit is the submit record of a replay job with an empty
+// trace, as every build since the journal landed writes it.
+func emptyReplaySubmit(id string) string {
+	return `{"rec":"submit","job":"` + id + `","spec":{"kind":"replay","trace":{"StartURL":"","Commands":null},"replayer":` + zeroReplayerJSON + `}}`
+}
+
+// writeJournal writes a journal file holding lines, one record each.
+func writeJournal(t *testing.T, lines ...string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestJournalForwardReadable pins forward compatibility: record kinds
+// and job kinds a newer build might write pass through an older scan
+// without truncation or recovery damage. A job of an unknown kind is
+// warned about and not revived; the records after it still apply.
+func TestJournalForwardReadable(t *testing.T) {
+	lines := []string{
+		`{"rec":"boot"}`,
+		emptyReplaySubmit("job-1"),
+		`{"rec":"submit","job":"job-2","spec":{"kind":"time-travel-campaign","trace":{"StartURL":"","Commands":null},"replayer":` + zeroReplayerJSON + `,"eras":3}}`,
+		`{"rec":"shiny-new-thing","payload":42}`,
+		emptyReplaySubmit("job-3"),
+		`{"rec":"state","job":"job-3","state":"done"}`,
+	}
+	path := writeJournal(t, lines...)
+	var mu sync.Mutex
+	var warnings []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	j, recovered, err := OpenJournal(path, logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	if len(recovered) != 1 || recovered[0].ID != "job-1" {
-		t.Fatalf("recovery %+v, want job-1 untouched by the unknown record", recovered)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if want := strings.Join(append(lines, `{"rec":"boot"}`), "\n") + "\n"; string(data) != want {
+		t.Errorf("reopening rewrote the journal:\n got %s\nwant %s", data, want)
+	}
+	var ids []string
+	for _, rj := range recovered {
+		ids = append(ids, rj.ID)
+	}
+	if !reflect.DeepEqual(ids, []string{"job-1", "job-2"}) {
+		t.Fatalf("recovered %v, want job-1 and job-2 (job-3 finished)", ids)
+	}
+	e := New(Options{Workers: 1, QueueDepth: 2, Journal: j})
+	revived := e.Revive(recovered)
+	e.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(revived) != 1 || revived[0].Spec.Kind != KindReplay {
+		t.Fatalf("revived %d jobs, want only the replay job-1", len(revived))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := "jobs: not reviving epoch 1 job-2: unknown kind"
+	for _, w := range warnings {
+		if w == want {
+			return
+		}
+	}
+	t.Errorf("no %q warning in %q", want, warnings)
 }

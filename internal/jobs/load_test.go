@@ -136,11 +136,15 @@ func TestLoadCampaignJobRejectsUnknownWorkload(t *testing.T) {
 // remote pool completes them.
 type fakeLoadDistributor struct {
 	Distributor
-	offered int
+	offered  int
+	campaign string
 }
 
-func (d *fakeLoadDistributor) DistributeLoad(ctx context.Context, sjobs []multiuser.ScheduleJob) ([]multiuser.ScheduleResult, bool) {
+var _ LoadDistributor = (*fakeLoadDistributor)(nil)
+
+func (d *fakeLoadDistributor) DistributeLoad(ctx context.Context, sjobs []multiuser.ScheduleJob, spec DistSpec) ([]multiuser.ScheduleResult, bool) {
 	d.offered += len(sjobs)
+	d.campaign = spec.Campaign
 	results := make([]multiuser.ScheduleResult, len(sjobs))
 	for i := len(sjobs) - 1; i >= 0; i-- {
 		results[len(sjobs)-1-i] = multiuser.ExecuteScheduleJob(sjobs[i])
@@ -180,6 +184,9 @@ func TestLoadCampaignThroughDistributorMatchesLocal(t *testing.T) {
 	}
 	if dist.offered == 0 {
 		t.Fatal("the distributor was never offered the schedule jobs")
+	}
+	if dist.campaign != "load" {
+		t.Errorf("the distributor was offered campaign %q, want load", dist.campaign)
 	}
 	if lj.LoadReport().Render() != rj.LoadReport().Render() {
 		t.Errorf("distributed report differs from local:\n local:\n%s remote:\n%s",

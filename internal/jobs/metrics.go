@@ -145,7 +145,8 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	gauge("warr_engine_draining", "1 once a graceful drain has begun.", draining)
 
 	b = append(b, "# HELP warr_jobs_total Jobs by kind and state.\n# TYPE warr_jobs_total gauge\n"...)
-	for _, k := range Kinds() {
+	// Every kind in the table, so jobs-by-kind series exist even at zero.
+	for k := KindReplay; int(k) < len(kinds); k++ {
 		for _, s := range States() {
 			b = append(b, fmt.Sprintf("warr_jobs_total{kind=%q,state=%q} %d\n", k, s, byKindState[k][s])...)
 		}
@@ -209,10 +210,4 @@ func (e *Engine) WriteMetrics(w io.Writer) error {
 	}
 	_, err := w.Write(b)
 	return err
-}
-
-// Kinds lists every job kind — the metrics exporter enumerates it so
-// jobs-by-kind series exist even at zero.
-func Kinds() []Kind {
-	return []Kind{KindReplay, KindNavigationCampaign, KindTimingCampaign, KindReport, KindFuzzCampaign, KindLoadCampaign}
 }

@@ -37,9 +37,9 @@ func TestWriteMetricsExposesEngineState(t *testing.T) {
 	}
 	// Every kind×state series exists, even at zero — dashboards never
 	// see a series appear out of nowhere.
-	for _, k := range Kinds() {
+	for _, k := range []string{"replay", "navigation-campaign", "timing-campaign", "report", "fuzz-campaign", "load-campaign"} {
 		for _, s := range States() {
-			series := `warr_jobs_total{kind="` + k.String() + `",state="` + s.String() + `"}`
+			series := `warr_jobs_total{kind="` + k + `",state="` + s.String() + `"}`
 			if !strings.Contains(out, series) {
 				t.Errorf("metrics output missing series %s", series)
 			}

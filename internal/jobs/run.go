@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/dslab-epfl/warr/internal/apps"
-	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/campaign"
 	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/errmodel"
@@ -29,7 +28,7 @@ import (
 
 // runReplay replays the spec trace once (streaming each step) or
 // Replicas times concurrently (streaming per-replica summaries).
-func (e *Engine) runReplay(job *Job) error {
+func (e *Engine) runReplay(job *Job, _ string) error {
 	if job.Spec.Replicas > 1 {
 		return e.runReplicated(job)
 	}
@@ -126,6 +125,20 @@ func (e *Engine) runReplicated(job *Job) error {
 
 // ---- campaigns ----
 
+// fuzzShardExecutor builds the executor fuzz campaign shards run on: the
+// fuzz loop owns the prune table, so pruning stays off; the oracle
+// judges only finished replays, and every replay reports its coverage
+// fingerprint.
+func fuzzShardExecutor(newEnv campaign.EnvFactory, opts weberr.CampaignOptions) *campaign.Executor {
+	return campaign.New(newEnv, campaign.Options{
+		Parallelism:    opts.Parallelism,
+		Replayer:       opts.Replayer,
+		DisablePruning: true,
+		Inspect:        weberr.JudgeFinished(nil),
+		Coverage:       errmodel.CampaignCoverage,
+	})
+}
+
 // campaignOptions translates a job spec into weberr campaign options.
 func campaignOptions(spec Spec) weberr.CampaignOptions {
 	return weberr.CampaignOptions{
@@ -141,7 +154,7 @@ func campaignOptions(spec Spec) weberr.CampaignOptions {
 // runNavigationCampaign infers the grammar and runs the WebErr
 // navigation-error campaign over it — the same plan → executor →
 // report path RunNavigationCampaign wraps.
-func (e *Engine) runNavigationCampaign(job *Job) error {
+func (e *Engine) runNavigationCampaign(job *Job, name string) error {
 	spec := job.Spec
 	copts := campaignOptions(spec)
 	newEnv := e.factory(spec.Mode)
@@ -163,30 +176,20 @@ func (e *Engine) runNavigationCampaign(job *Job) error {
 		job.mu.Unlock()
 		plan = weberr.NavigationPlan(g, copts)
 	}
-	exec := weberr.NavigationExecutor(newEnv, copts)
-	outcomes, ok := e.distribute(job, exec, plan, "navigation")
-	if !ok {
-		outcomes = e.executePlan(job, exec, plan)
-	}
-	e.finishCampaign(job, "navigation", plan, outcomes)
+	e.runPlan(job, name, weberr.NavigationExecutor(newEnv, copts), plan)
 	return nil
 }
 
 // runTimingCampaign runs the WebErr timing-error campaign over the
 // trace.
-func (e *Engine) runTimingCampaign(job *Job) error {
+func (e *Engine) runTimingCampaign(job *Job, name string) error {
 	spec := job.Spec
 	copts := campaignOptions(spec)
 	plan := job.priorPlan()
 	if plan == nil {
 		plan = weberr.TimingPlan(spec.Trace)
 	}
-	exec := weberr.TimingExecutor(e.factory(spec.Mode), copts)
-	outcomes, ok := e.distribute(job, exec, plan, "timing")
-	if !ok {
-		outcomes = e.executePlan(job, exec, plan)
-	}
-	e.finishCampaign(job, "timing", plan, outcomes)
+	e.runPlan(job, name, weberr.TimingExecutor(e.factory(spec.Mode), copts), plan)
 	return nil
 }
 
@@ -194,13 +197,13 @@ func (e *Engine) runTimingCampaign(job *Job) error {
 // Fresh jobs with the default oracle are eligible; resumed jobs carry
 // partial outcomes only the local merge path understands, and closures
 // (custom oracles) cannot cross a process boundary.
-func (e *Engine) distribute(job *Job, exec *campaign.Executor, plan []campaign.Job, kind string) ([]campaign.Outcome, bool) {
+func (e *Engine) distribute(job *Job, exec *campaign.Executor, plan []campaign.Job, name string) ([]campaign.Outcome, bool) {
 	d := e.opts.Distributor
 	if d == nil || job.resumeFrom != nil || job.Spec.Oracle != nil {
 		return nil, false
 	}
 	return d.DistributeCampaign(job.ctx, exec, plan, DistSpec{
-		Campaign:       kind,
+		Campaign:       name,
 		Mode:           job.Spec.Mode,
 		Replayer:       job.Spec.Replayer,
 		DisablePruning: job.Spec.DisablePruning,
@@ -262,10 +265,15 @@ func (e *Engine) executePlan(job *Job, exec *campaign.Executor, plan []campaign.
 	return merged
 }
 
-// finishCampaign stores the campaign results and publishes the outcome
-// stream: one OutcomeEvent per trace in plan order, then the
-// ReportEvent.
-func (e *Engine) finishCampaign(job *Job, kind string, plan []campaign.Job, outcomes []campaign.Outcome) {
+// runPlan executes a campaign plan, on the distributor when it takes
+// the plan and locally otherwise, stores the results, and publishes
+// the outcome stream: one OutcomeEvent per trace in plan order, then
+// the ReportEvent of the campaign the kind table names.
+func (e *Engine) runPlan(job *Job, name string, exec *campaign.Executor, plan []campaign.Job) {
+	outcomes, ok := e.distribute(job, exec, plan, name)
+	if !ok {
+		outcomes = e.executePlan(job, exec, plan)
+	}
 	rep := weberr.ReportOutcomes(outcomes)
 	job.mu.Lock()
 	job.plan = plan
@@ -275,7 +283,7 @@ func (e *Engine) finishCampaign(job *Job, kind string, plan []campaign.Job, outc
 	for _, out := range outcomes {
 		job.bus.Publish(newOutcomeEvent(out))
 	}
-	job.bus.Publish(newReportEvent(kind, rep))
+	job.bus.Publish(newReportEvent(name, rep))
 }
 
 // newOutcomeEvent converts one executor outcome into its event.
@@ -312,10 +320,10 @@ func newOutcomeEvent(out campaign.Outcome) OutcomeEvent {
 }
 
 // newReportEvent converts a campaign report into its event.
-func newReportEvent(kind string, rep *weberr.Report) ReportEvent {
+func newReportEvent(name string, rep *weberr.Report) ReportEvent {
 	ev := ReportEvent{
 		Type:           "report",
-		Campaign:       kind,
+		Campaign:       name,
 		Generated:      rep.Generated,
 		Replayed:       rep.Replayed,
 		Pruned:         rep.Pruned,
@@ -340,12 +348,8 @@ func newReportEvent(kind string, rep *weberr.Report) ReportEvent {
 // FuzzBudget the findings report is byte-identical across runs, so a
 // resumed fuzz job simply re-runs from scratch — determinism is the
 // checkpoint.
-func (e *Engine) runFuzzCampaign(job *Job) error {
+func (e *Engine) runFuzzCampaign(job *Job, name string) error {
 	spec := job.Spec
-	oracle := spec.Oracle
-	if oracle == nil {
-		oracle = weberr.ConsoleOracle
-	}
 	budget := spec.FuzzBudget
 	if budget <= 0 {
 		budget = campaign.DefaultFuzzBudget
@@ -355,23 +359,15 @@ func (e *Engine) runFuzzCampaign(job *Job) error {
 		Parallelism:          spec.Parallelism,
 		Replayer:             spec.Replayer,
 		DisablePrefixSharing: spec.DisablePrefixSharing,
-		// Same gating as the navigation campaign: a trace broken by its
-		// own injected error is a replay failure, not an app bug, and a
-		// cancelled partial replay must not be judged.
-		Inspect: func(cj campaign.Job, res *replayer.Result, tab *browser.Tab) error {
-			if res.Failed > 0 || res.Cancelled {
-				return nil
-			}
-			return oracle(tab, res)
-		},
-		Coverage: errmodel.CampaignCoverage,
+		Inspect:              weberr.JudgeFinished(spec.Oracle),
+		Coverage:             errmodel.CampaignCoverage,
 	}
 	// Offer each batch to the distributor under the same eligibility
 	// rules as enumerated campaigns; a refusal falls back to the local
 	// executor mid-loop.
 	if d := e.opts.Distributor; d != nil && spec.Oracle == nil && job.resumeFrom == nil {
 		dspec := DistSpec{
-			Campaign: "fuzz",
+			Campaign: name,
 			Mode:     spec.Mode,
 			Replayer: spec.Replayer,
 			// The fuzz loop owns pruning (determinism contract); workers
@@ -404,7 +400,7 @@ func (e *Engine) runFuzzCampaign(job *Job) error {
 		job.bus.Publish(newOutcomeEvent(out))
 	}
 	job.bus.Publish(newFuzzEvent(*stats, budget))
-	job.bus.Publish(newReportEvent("fuzz", rep))
+	job.bus.Publish(newReportEvent(name, rep))
 	return nil
 }
 
@@ -456,7 +452,7 @@ func fuzzReport(st *campaign.FuzzStats) *weberr.Report {
 // byte-identical across runs, parallelism, and sharing modes, so a
 // resumed load job simply re-runs from scratch — determinism is the
 // checkpoint (same contract as the fuzz campaign).
-func (e *Engine) runLoadCampaign(job *Job) error {
+func (e *Engine) runLoadCampaign(job *Job, name string) error {
 	spec := job.Spec
 	o := multiuser.Options{
 		Workload:       spec.Workload,
@@ -497,7 +493,7 @@ func (e *Engine) runLoadCampaign(job *Job) error {
 	// with the other campaigns).
 	if d, ok := e.opts.Distributor.(LoadDistributor); ok && job.resumeFrom == nil {
 		o.Execute = func(ctx context.Context, sjobs []multiuser.ScheduleJob) ([]multiuser.ScheduleResult, bool) {
-			return d.DistributeLoad(ctx, sjobs)
+			return d.DistributeLoad(ctx, sjobs, DistSpec{Campaign: name})
 		}
 	}
 	rep, err := multiuser.Run(job.ctx, o)
@@ -521,7 +517,7 @@ func (e *Engine) runLoadCampaign(job *Job) error {
 		CoverageBits: rep.CoverageBits,
 		Findings:     len(rep.Findings),
 	})
-	job.bus.Publish(newReportEvent("load", wrep))
+	job.bus.Publish(newReportEvent(name, wrep))
 	return nil
 }
 
@@ -548,7 +544,7 @@ func loadReport(rep *multiuser.Report) *weberr.Report {
 // report arrives, its trace is replayed (streamed step by step),
 // minimized to a shortest reproducer of the observed signal, and
 // classified. A cancelled ingestion resumes as a fresh full run.
-func (e *Engine) runReport(job *Job) error {
+func (e *Engine) runReport(job *Job, _ string) error {
 	spec := job.Spec
 	if cause := context.Cause(job.ctx); cause != nil {
 		res := &replayer.Result{Cancelled: true, CancelCause: cause}

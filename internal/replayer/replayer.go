@@ -36,24 +36,26 @@ const (
 	PaceNone
 )
 
-// Options configure a Replayer.
+// Options configure a Replayer. Their JSON form is what the job
+// journal and the distributed wire carry, so another process replays
+// with the same options; Hooks are code and never serialize.
 type Options struct {
 	// Pacing defaults to PaceRecorded.
-	Pacing Pacing
+	Pacing Pacing `json:"pacing"`
 	// DisableRelaxation turns off XPath relaxation (ablation).
-	DisableRelaxation bool
+	DisableRelaxation bool `json:"disableRelaxation,omitempty"`
 	// DisableCoordinateFallback turns off the click-coordinate backup
 	// identification (ablation).
-	DisableCoordinateFallback bool
+	DisableCoordinateFallback bool `json:"disableCoordinateFallback,omitempty"`
 	// Driver selects webdriver behaviour (the ChromeDriver defect
 	// switches).
-	Driver webdriver.Options
+	Driver webdriver.Options `json:"driver"`
 	// Hooks is the observer chain every session of this replayer starts
 	// with, invoked in order around each command (BeforeStep, OnResolve,
 	// AfterStep). WebErr's grammar inference and AUsER's progressive
 	// snapshotting are hooks. Per-session hooks can be appended with
 	// Session.AddHooks.
-	Hooks []Hooks
+	Hooks []Hooks `json:"-"`
 }
 
 // StepStatus describes how one command was resolved and executed.

@@ -9,8 +9,6 @@ package serve
 import (
 	"encoding/json"
 	"testing"
-
-	"github.com/dslab-epfl/warr/internal/jobs"
 )
 
 func FuzzDecodeJobRequest(f *testing.F) {
@@ -47,7 +45,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			return
 		}
 		// Accepted: every validated invariant must hold.
-		if jobs.ParseKind(req.Kind) == 0 {
+		if req.kind() == 0 {
 			t.Fatalf("accepted unknown kind %q", req.Kind)
 		}
 		if req.Trace == "" {

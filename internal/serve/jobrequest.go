@@ -94,16 +94,16 @@ func DecodeJobRequest(data []byte) (*JobRequest, error) {
 	if req.Kind == "" {
 		return nil, errors.New("serve: job request missing kind")
 	}
-	kind := jobs.ParseKind(req.Kind)
+	kind := req.kind()
 	if kind == 0 {
 		return nil, fmt.Errorf("serve: unknown job kind %q", req.Kind)
 	}
-	if kind == jobs.KindLoadCampaign {
+	if kind.TakesWorkload() {
 		if req.Trace != "" {
-			return nil, errors.New("serve: load-campaign jobs run workloads, not traces")
+			return nil, fmt.Errorf("serve: %s jobs run workloads, not traces", kind)
 		}
 		if req.Workload == "" {
-			return nil, errors.New("serve: load-campaign job missing workload")
+			return nil, fmt.Errorf("serve: %s job missing workload", kind)
 		}
 		if _, err := multiuser.LookupWorkload(req.Workload); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
@@ -160,14 +160,22 @@ func DecodeJobRequest(data []byte) (*JobRequest, error) {
 	return &req, nil
 }
 
+// kind resolves the request's kind name (0 when unknown).
+func (req *JobRequest) kind() jobs.Kind {
+	var k jobs.Kind
+	_ = k.UnmarshalText([]byte(req.Kind))
+	return k
+}
+
 // specFor resolves a validated request into an engine spec.
 func (s *Server) specFor(req *JobRequest) (jobs.Spec, error) {
-	if jobs.ParseKind(req.Kind) == jobs.KindLoadCampaign {
-		// Load campaigns are self-contained: the workload name stands in
+	kind := req.kind()
+	if kind.TakesWorkload() {
+		// Workload kinds are self-contained: the workload name stands in
 		// for the trace, and the duration string was validated already.
 		d, _ := time.ParseDuration(req.Duration)
 		return jobs.Spec{
-			Kind:               jobs.KindLoadCampaign,
+			Kind:               kind,
 			Workload:           req.Workload,
 			Users:              req.Users,
 			Cohort:             req.Cohort,
@@ -184,7 +192,7 @@ func (s *Server) specFor(req *JobRequest) (jobs.Spec, error) {
 		return jobs.Spec{}, fmt.Errorf("serve: unknown trace %q (upload it first)", req.Trace)
 	}
 	spec := jobs.Spec{
-		Kind:                 jobs.ParseKind(req.Kind),
+		Kind:                 kind,
 		Trace:                st.Trace,
 		TraceName:            st.Name,
 		Replicas:             req.Replicas,

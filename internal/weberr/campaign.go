@@ -110,22 +110,29 @@ func NavigationPlan(g *Grammar, opts CampaignOptions) []campaign.Job {
 // replay would not, breaking the findings-identical-at-any-parallelism
 // contract.
 func NavigationExecutor(newEnv EnvFactory, opts CampaignOptions) *campaign.Executor {
-	oracle := opts.Oracle
-	if oracle == nil {
-		oracle = ConsoleOracle
-	}
 	return campaign.New(newEnv, campaign.Options{
 		Parallelism:          opts.Parallelism,
 		Replayer:             opts.Replayer,
 		DisablePruning:       opts.DisablePruning,
 		DisablePrefixSharing: opts.DisablePrefixSharing,
-		Inspect: func(job campaign.Job, res *replayer.Result, tab *browser.Tab) error {
-			if res.Failed > 0 || res.Cancelled {
-				return nil
-			}
-			return oracle(tab, res)
-		},
+		Inspect:              JudgeFinished(opts.Oracle),
 	})
+}
+
+// JudgeFinished wraps oracle (nil means ConsoleOracle) as a campaign
+// inspector that judges only replays with no failed command that were
+// not cancelled, for the reasons NavigationExecutor gives. Navigation
+// and fuzz campaigns judge through it.
+func JudgeFinished(oracle Oracle) func(job campaign.Job, res *replayer.Result, tab *browser.Tab) error {
+	if oracle == nil {
+		oracle = ConsoleOracle
+	}
+	return func(_ campaign.Job, res *replayer.Result, tab *browser.Tab) error {
+		if res.Failed > 0 || res.Cancelled {
+			return nil
+		}
+		return oracle(tab, res)
+	}
 }
 
 // RunNavigationCampaign tests an application against navigation errors:
