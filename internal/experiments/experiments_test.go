@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
+	"github.com/dslab-epfl/warr/internal/apps"
 	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/humanerr"
 )
@@ -211,5 +215,51 @@ func TestFormatters(t *testing.T) {
 	t2 := []Table2Row{{App: "GMail", Scenario: "Compose email", WaRR: Complete, Selenium: Partial}}
 	if s := FormatTable2(t2); !strings.Contains(s, "C") || !strings.Contains(s, "P") {
 		t.Errorf("FormatTable2:\n%s", s)
+	}
+}
+
+// TestCampaignPrefixSharingKeepsFindings runs warr-bench's
+// prefix-sharing experiment on the edit-site scenario: the flat,
+// shared-prefix and concurrent runs must flag the same injections over
+// the corpus golden's mutant count, the table must carry the scenario's
+// row with that verdict, and a diverging run must show as DIVERGED.
+func TestCampaignPrefixSharingKeepsFindings(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/corpus/edit-site.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Navigation struct{ Generated int } `json:"navigation"`
+	}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	sc := apps.EditSiteScenario()
+	row, err := Campaign(sc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Mutants != golden.Navigation.Generated || row.Parallelism != 2 {
+		t.Fatalf("campaign row %+v: want %d mutants at parallelism 2", row, golden.Navigation.Generated)
+	}
+	if !row.FindingsMatch() {
+		t.Fatalf("runs diverged:\n flat       %v\n sequential %v\n parallel   %v",
+			row.FlatFindings, row.SequentialFindings, row.ParallelFindings)
+	}
+	rowLine := func(r CampaignRow) string {
+		for _, l := range strings.Split(FormatCampaign([]CampaignRow{r}), "\n") {
+			if strings.HasPrefix(l, sc.Name+" ") {
+				return l
+			}
+		}
+		return ""
+	}
+	want := fmt.Sprintf(" %d equal", len(row.SequentialFindings))
+	if line := rowLine(row); !strings.Contains(line, fmt.Sprintf(" %d ", row.Mutants)) || !strings.HasSuffix(line, want) {
+		t.Errorf("table row %q: want %d mutants and suffix %q", line, row.Mutants, want)
+	}
+	row.ParallelFindings = append(row.ParallelFindings, "extra => finding")
+	if line := rowLine(row); row.FindingsMatch() || !strings.HasSuffix(line, " DIVERGED") {
+		t.Errorf("a diverging parallel run reads as matching: %q", line)
 	}
 }

@@ -55,10 +55,11 @@ type Options struct {
 	// worlds every CLI has always used.
 	EnvFactory func(mode browser.Mode) campaign.EnvFactory
 	// Distributor, when set, is offered every campaign plan before it
-	// executes in-process; internal/distrib implements it over a worker
+	// executes in-process — resumed and revived jobs too, since they
+	// re-run their spec; internal/distrib implements it over a worker
 	// pool. A refusal (or an in-process-only spec: custom oracle, replay
-	// hooks, resumed job) falls back to the local executor — the engine
-	// always has a single-process path.
+	// hooks) falls back to the local executor — the engine always has a
+	// single-process path.
 	Distributor Distributor
 	// Journal, when set, records every journalable submission and
 	// terminal state to the write-ahead job journal, making the engine
@@ -204,11 +205,11 @@ func (e *Engine) Submit(spec Spec) (*Job, error) {
 	if spec.Mode == 0 {
 		spec.Mode = browser.DeveloperMode
 	}
-	return e.enqueue(spec, nil)
+	return e.enqueue(spec)
 }
 
 // enqueue creates the Job record and offers it to the queue.
-func (e *Engine) enqueue(spec Spec, resumeFrom *Job) (*Job, error) {
+func (e *Engine) enqueue(spec Spec) (*Job, error) {
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
@@ -216,12 +217,11 @@ func (e *Engine) enqueue(spec Spec, resumeFrom *Job) (*Job, error) {
 	}
 	e.nextID++
 	job := &Job{
-		ID:         fmt.Sprintf("job-%d", e.nextID),
-		Spec:       spec,
-		bus:        NewBus(),
-		engine:     e,
-		doneCh:     make(chan struct{}),
-		resumeFrom: resumeFrom,
+		ID:     fmt.Sprintf("job-%d", e.nextID),
+		Spec:   spec,
+		bus:    NewBus(),
+		engine: e,
+		doneCh: make(chan struct{}),
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	job.ctx, job.cancel = ctx, cancel
@@ -294,12 +294,12 @@ func (e *Engine) Cancel(id string, cause error) error {
 	return nil
 }
 
-// Resume continues a cancelled job as a new job: replay jobs fork the
-// retained session's world at the cancellation point and pick up at the
-// next unreplayed command (falling back to a fresh full replay when the
-// world cannot fork); campaign jobs re-execute only the traces that
-// never reached a judgeable end and merge the rest from the cancelled
-// run. The new job rides the normal queue — backpressure applies.
+// Resume continues a cancelled job as a new job that re-runs its spec
+// from the start, exactly as Revive does for a journal-recovered job:
+// replays run on the virtual clock and campaigns are seeded, so the new
+// job's stream is the one an uninterrupted run publishes. The cancelled
+// job keeps its state and partial results. The new job rides the normal
+// queue — backpressure applies.
 func (e *Engine) Resume(id string) (*Job, error) {
 	job, err := e.Get(id)
 	if err != nil {
@@ -317,7 +317,7 @@ func (e *Engine) Resume(id string) (*Job, error) {
 		return nil, fmt.Errorf("jobs: %s already resumed as %s", id, resumed)
 	}
 	job.mu.Unlock()
-	nj, err := e.enqueue(job.Spec, job)
+	nj, err := e.enqueue(job.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +349,7 @@ func (e *Engine) Revive(recovered []RecoveredJob) []*Job {
 			}
 			continue
 		}
-		job, err := e.enqueue(rj.Spec, nil)
+		job, err := e.enqueue(rj.Spec)
 		if err != nil {
 			if j != nil {
 				j.warnf("jobs: reviving epoch %d %s: %v", rj.Epoch, rj.ID, err)
@@ -434,21 +434,23 @@ func (e *Engine) run(job *Job) {
 	job.setState(StateRunning)
 	k := job.Spec.Kind.entry()
 	err := k.run(e, job, k.campaign)
+	// A cancelled job ends cancelled whatever its runner returned: a
+	// runner cut short may report the context's error (the load
+	// campaign's local path does), and a failed job would neither resume
+	// nor, when a drain cut it, revive.
 	state := StateDone
-	switch {
-	case err != nil:
-		job.mu.Lock()
-		job.err = err
-		job.mu.Unlock()
-		state = StateFailed
-	case context.Cause(job.ctx) != nil:
-		job.mu.Lock()
+	job.mu.Lock()
+	switch cause := context.Cause(job.ctx); {
+	case cause != nil:
 		if job.cause == nil {
-			job.cause = context.Cause(job.ctx)
+			job.cause = cause
 		}
-		job.mu.Unlock()
 		state = StateCancelled
+	case err != nil:
+		job.err = err
+		state = StateFailed
 	}
+	job.mu.Unlock()
 	// Journal the terminal transition before publishing it: Wait and the
 	// terminal frame must never run ahead of the record that keeps a
 	// crash from reviving the job. Both publish the event journaled.

@@ -318,9 +318,9 @@ func TestCancellationParityWithDirectContextCancel(t *testing.T) {
 }
 
 // TestResumeReplayMatchesUninterrupted cancels a replay mid-trace,
-// resumes it, and requires the resumed job's final result — and its
-// step event stream — to be exactly what an uninterrupted replay
-// produces.
+// resumes it, and requires the resumed job — a re-run of the spec — to
+// produce exactly the final result and step event stream of an
+// uninterrupted replay; a job resumes once, and only when cancelled.
 func TestResumeReplayMatchesUninterrupted(t *testing.T) {
 	tr := recordScenario(t, apps.AuthenticateScenario())
 	if len(tr.Commands) < 4 {
@@ -390,8 +390,8 @@ func TestResumeReplayMatchesUninterrupted(t *testing.T) {
 		}
 	}
 
-	// The resumed job's stream re-publishes the already-replayed prefix,
-	// so a subscriber sees every command exactly once.
+	// The resumed job re-runs the whole trace, so a subscriber sees
+	// every command exactly once.
 	var steps int
 	for _, ev := range drainEvents(t, resumed) {
 		if _, ok := ev.(StepEvent); ok {
@@ -412,11 +412,10 @@ func TestResumeReplayMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestResumeNavigationCampaignMergesFinishedOutcomes cancels a
-// navigation campaign mid-run and resumes it: the resumed job must not
-// re-replay finished traces, and its final findings must equal an
-// uncancelled campaign's.
-func TestResumeNavigationCampaignMergesFinishedOutcomes(t *testing.T) {
+// TestResumeNavigationCampaignReRunsToSameFindings cancels a navigation
+// campaign mid-run and resumes it: the resumed job re-runs the whole
+// plan, and its report must equal an uncancelled campaign's.
+func TestResumeNavigationCampaignReRunsToSameFindings(t *testing.T) {
 	tr := recordScenario(t, apps.EditSiteScenario())
 	e := New(Options{Workers: 1, QueueDepth: 2})
 	defer e.Close()
@@ -456,12 +455,8 @@ func TestResumeNavigationCampaignMergesFinishedOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, job)
-	if job.State() != StateCancelled {
-		t.Skipf("campaign finished before the cancel landed (%s); nothing to resume", job.State())
-	}
-	skipped := job.Report().Skipped
-	if skipped == 0 {
-		t.Skip("every trace finished before the cancel landed; nothing to resume")
+	if job.State() != StateCancelled || job.Report().Skipped == 0 {
+		t.Fatalf("campaign ended %s with %d traces skipped, want cancelled mid-run", job.State(), job.Report().Skipped)
 	}
 
 	resumed, err := e.Resume(job.ID)

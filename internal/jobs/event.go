@@ -7,11 +7,10 @@
 // campaign.Executor and multiuser APIs, behind a bounded work queue
 // with backpressure and graceful drain, a per-job event bus streaming
 // step-by-step results, cancellation via context, and Prometheus-style
-// metrics. A cancelled job resumes as a new job: a replay continues on
-// a fork of its retained session when the world can fork, a campaign
-// re-runs only the traces that never reached a judgeable end, and fuzz,
-// load and report jobs re-run whole. After a crash, the write-ahead journal
-// re-runs each unfinished job's spec. The command-line tools submit
+// metrics. A cancelled job resumes as a new job that re-runs its spec,
+// and after a crash the write-ahead journal re-runs each unfinished
+// job's spec the same way: replay is deterministic, so either re-run
+// publishes the uninterrupted stream. The command-line tools submit
 // jobs to an in-process engine and print its events; warr-serve exposes
 // the same engine over HTTP/SSE — so there is exactly one execution
 // path no matter which face drives it.

@@ -250,10 +250,6 @@ type Job struct {
 	cancel context.CancelCauseFunc
 	doneCh chan struct{}
 
-	// resumeFrom is the cancelled job this one continues (nil for fresh
-	// and journal-revived jobs).
-	resumeFrom *Job
-
 	mu       sync.Mutex
 	state    State
 	err      error // runner failure (StateFailed)
@@ -265,8 +261,6 @@ type Job struct {
 	// Results, by kind.
 	result   *replayer.Result    // replay: the (possibly partial) replay result
 	tab      *browser.Tab        // replay: final page state (single-session jobs)
-	session  *replayer.Session   // replay: retained for resume
-	plan     []campaign.Job      // campaigns: the executed trace plan, kept for resume
 	outcomes []campaign.Outcome  // replicas and campaigns
 	report   *weberr.Report      // campaigns
 	tree     *weberr.TaskTree    // navigation campaigns

@@ -9,7 +9,10 @@ package jobs
 
 import (
 	"context"
+	"errors"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dslab-epfl/warr/internal/multiuser"
@@ -191,5 +194,95 @@ func TestLoadCampaignThroughDistributorMatchesLocal(t *testing.T) {
 	if lj.LoadReport().Render() != rj.LoadReport().Render() {
 		t.Errorf("distributed report differs from local:\n local:\n%s remote:\n%s",
 			lj.LoadReport().Render(), rj.LoadReport().Render())
+	}
+}
+
+// parkingLoadDistributor parks the first load offer until the job's
+// context ends and then refuses it, so a test can cancel or drain a
+// load campaign it knows is running. Later offers are refused at once.
+type parkingLoadDistributor struct {
+	Distributor
+	parked  atomic.Bool
+	offered chan struct{}
+}
+
+func (d *parkingLoadDistributor) DistributeLoad(ctx context.Context, _ []multiuser.ScheduleJob, _ DistSpec) ([]multiuser.ScheduleResult, bool) {
+	if d.parked.CompareAndSwap(false, true) {
+		close(d.offered)
+		<-ctx.Done()
+	}
+	return nil, false
+}
+
+// TestCancelledLoadCampaignEndsCancelled cancels a running load
+// campaign, by the user and by an expired drain. Its local path returns
+// the context's error, yet the job must end cancelled with the cause,
+// not failed: the user-cancelled job then resumes, and the drained one
+// is revived from the journal, each to the uninterrupted stream.
+func TestCancelledLoadCampaignEndsCancelled(t *testing.T) {
+	spec := Spec{Kind: KindLoadCampaign, Workload: "sites-notes", Users: 64, Cohort: 4, ScheduleBudget: 64}
+	ref := New(Options{Workers: 1})
+	refJob, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, refJob)
+	want := encodeStream(t, refJob, "job")
+	ref.Close()
+
+	for _, drain := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "jobs.journal")
+		j, _, err := OpenJournal(path, t.Logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &parkingLoadDistributor{offered: make(chan struct{})}
+		e := New(Options{Workers: 1, Distributor: d, Journal: j})
+		job, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-d.offered
+		wantCause := error(context.Canceled)
+		if drain {
+			expired, cancel := context.WithCancel(context.Background())
+			cancel()
+			_ = e.Drain(expired)
+			wantCause = CauseDrained
+		} else if err := e.Cancel(job.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, job)
+		if job.State() != StateCancelled || job.Err() != nil || !errors.Is(job.CancelCause(), wantCause) {
+			t.Fatalf("drain=%v: job ended %s with error %v and cause %v, want cancelled by %v",
+				drain, job.State(), job.Err(), job.CancelCause(), wantCause)
+		}
+
+		var next *Job
+		if drain {
+			j2, recovered, err := OpenJournal(copyJournal(t, path), t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			if len(recovered) != 1 {
+				t.Fatalf("recovered %d jobs, want the drained one", len(recovered))
+			}
+			e2 := New(Options{Workers: 1})
+			defer e2.Close()
+			revived := e2.Revive(recovered)
+			if len(revived) != 1 {
+				t.Fatalf("revived %d jobs, want 1", len(revived))
+			}
+			next = revived[0]
+		} else if next, err = e.Resume(job.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, next)
+		if got := encodeStream(t, next, "job"); got != want {
+			t.Errorf("drain=%v: re-run stream differs from the uninterrupted one:\n got %s\nwant %s", drain, got, want)
+		}
+		e.Close()
+		j.Close()
 	}
 }

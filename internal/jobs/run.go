@@ -32,66 +32,42 @@ func (e *Engine) runReplay(job *Job, _ string) error {
 	if job.Spec.Replicas > 1 {
 		return e.runReplicated(job)
 	}
-	// Resuming: fork the retained session's world at the cancellation
-	// point and replay only the remaining commands. The already-replayed
-	// steps are re-published first, so a subscriber of the resumed job
-	// sees the exact stream an uninterrupted replay would have produced.
-	if rf := job.resumeFrom; rf != nil {
-		rf.mu.Lock()
-		prior := rf.session
-		rf.mu.Unlock()
-		if prior != nil {
-			if resumed, err := prior.Resume(job.ctx); err == nil {
-				for _, st := range resumed.Result().Steps {
-					job.bus.Publish(NewStepEvent(st))
-				}
-				return e.driveSession(job, resumed)
-			}
-			// The world cannot fork (plugin state without a Declarer,
-			// say): fall through to a fresh full replay — resumption must
-			// never drop a job just because the cheap path is closed.
-		}
-	}
+	_, err := e.replaySession(job)
+	return err
+}
+
+// replaySession replays the job's trace in a fresh environment,
+// streaming one StepEvent per command and a closing SummaryEvent, and
+// returns the finished session. A job cancelled before it started
+// publishes the empty partial result an unstarted session reports on
+// its first Next, and returns no session.
+func (e *Engine) replaySession(job *Job) (*replayer.Session, error) {
+	spec := job.Spec
 	if cause := context.Cause(job.ctx); cause != nil {
-		// Cancelled before any command: publish the same empty partial
-		// result an unstarted session reports on its first Next.
 		res := &replayer.Result{Cancelled: true, CancelCause: cause}
 		job.mu.Lock()
 		job.result = res
 		job.mu.Unlock()
-		job.bus.Publish(NewSummaryEvent(0, len(job.Spec.Trace.Commands), res, nil))
-		return nil
+		job.bus.Publish(NewSummaryEvent(0, len(spec.Trace.Commands), res, nil))
+		return nil, nil
 	}
-	b := e.factory(job.Spec.Mode)()
-	session, err := replayer.New(b, job.Spec.Replayer).NewSession(job.ctx, job.Spec.Trace)
+	session, err := replayer.New(e.factory(spec.Mode)(), spec.Replayer).NewSession(job.ctx, spec.Trace)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return e.driveSession(job, session)
-}
-
-// driveSession replays the session's remaining commands, streaming one
-// StepEvent per command and a closing SummaryEvent.
-func (e *Engine) driveSession(job *Job, session *replayer.Session) error {
-	already := len(session.Result().Steps)
 	start := time.Now()
 	allocs0 := readMallocs()
-	for {
-		step, ok := session.Next()
-		if !ok {
-			break
-		}
+	for step := range session.Steps() {
 		job.bus.Publish(NewStepEvent(step))
 	}
 	res := session.Result()
-	e.metrics.observeReplay(len(res.Steps)-already, time.Since(start), readMallocs()-allocs0)
+	e.metrics.observeReplay(len(res.Steps), time.Since(start), readMallocs()-allocs0)
 	job.mu.Lock()
 	job.result = res
 	job.tab = session.Tab()
-	job.session = session
 	job.mu.Unlock()
-	job.bus.Publish(NewSummaryEvent(0, len(session.Trace().Commands), res, session.Tab()))
-	return nil
+	job.bus.Publish(NewSummaryEvent(0, len(spec.Trace.Commands), res, session.Tab()))
+	return session, nil
 }
 
 // runReplicated replays the trace Replicas times concurrently over
@@ -108,9 +84,8 @@ func (e *Engine) runReplicated(job *Job) error {
 		// Replicas are identical; a failure must not prune the rest.
 		DisablePruning: true,
 	})
-	outcomes := e.executePlan(job, exec, plan)
+	outcomes := exec.Execute(job.ctx, plan)
 	job.mu.Lock()
-	job.plan = plan
 	job.outcomes = outcomes
 	job.mu.Unlock()
 	for i, out := range outcomes {
@@ -158,25 +133,21 @@ func (e *Engine) runNavigationCampaign(job *Job, name string) error {
 	spec := job.Spec
 	copts := campaignOptions(spec)
 	newEnv := e.factory(spec.Mode)
-	plan := job.priorPlan()
-	if plan == nil {
-		g := spec.Grammar
-		if g == nil {
-			tree, err := weberr.InferTaskTree(newEnv, spec.Trace)
-			if err != nil {
-				return fmt.Errorf("jobs: inferring task tree: %w", err)
-			}
-			g = weberr.FromTaskTree(tree)
-			job.mu.Lock()
-			job.tree = tree
-			job.mu.Unlock()
+	g := spec.Grammar
+	if g == nil {
+		tree, err := weberr.InferTaskTree(newEnv, spec.Trace)
+		if err != nil {
+			return fmt.Errorf("jobs: inferring task tree: %w", err)
 		}
+		g = weberr.FromTaskTree(tree)
 		job.mu.Lock()
-		job.grammar = g
+		job.tree = tree
 		job.mu.Unlock()
-		plan = weberr.NavigationPlan(g, copts)
 	}
-	e.runPlan(job, name, weberr.NavigationExecutor(newEnv, copts), plan)
+	job.mu.Lock()
+	job.grammar = g
+	job.mu.Unlock()
+	e.runPlan(job, name, weberr.NavigationExecutor(newEnv, copts), weberr.NavigationPlan(g, copts))
 	return nil
 }
 
@@ -184,22 +155,16 @@ func (e *Engine) runNavigationCampaign(job *Job, name string) error {
 // trace.
 func (e *Engine) runTimingCampaign(job *Job, name string) error {
 	spec := job.Spec
-	copts := campaignOptions(spec)
-	plan := job.priorPlan()
-	if plan == nil {
-		plan = weberr.TimingPlan(spec.Trace)
-	}
-	e.runPlan(job, name, weberr.TimingExecutor(e.factory(spec.Mode), copts), plan)
+	e.runPlan(job, name, weberr.TimingExecutor(e.factory(spec.Mode), campaignOptions(spec)), weberr.TimingPlan(spec.Trace))
 	return nil
 }
 
 // distribute offers a campaign plan to the configured Distributor.
-// Fresh jobs with the default oracle are eligible; resumed jobs carry
-// partial outcomes only the local merge path understands, and closures
-// (custom oracles) cannot cross a process boundary.
+// Jobs with a custom oracle stay local: closures cannot cross a process
+// boundary.
 func (e *Engine) distribute(job *Job, exec *campaign.Executor, plan []campaign.Job, name string) ([]campaign.Outcome, bool) {
 	d := e.opts.Distributor
-	if d == nil || job.resumeFrom != nil || job.Spec.Oracle != nil {
+	if d == nil || job.Spec.Oracle != nil {
 		return nil, false
 	}
 	return d.DistributeCampaign(job.ctx, exec, plan, DistSpec{
@@ -211,60 +176,6 @@ func (e *Engine) distribute(job *Job, exec *campaign.Executor, plan []campaign.J
 	})
 }
 
-// priorPlan returns the plan (and, for navigation campaigns, the
-// inferred structures) carried over from the job this one resumes, or
-// nil when the job is fresh or the cancelled run never got that far.
-func (j *Job) priorPlan() []campaign.Job {
-	rf := j.resumeFrom
-	if rf == nil {
-		return nil
-	}
-	rf.mu.Lock()
-	plan, tree, g := rf.plan, rf.tree, rf.grammar
-	rf.mu.Unlock()
-	j.mu.Lock()
-	j.tree, j.grammar = tree, g
-	j.mu.Unlock()
-	return plan
-}
-
-// executePlan runs the plan on the executor. When the job resumes a
-// cancelled one whose outcomes partially exist, only the traces that
-// never reached a judgeable end (skipped, or cancelled mid-replay) are
-// re-executed; finished outcomes — replayed, pruned, failed — are
-// merged from the cancelled run, so no replay is spent twice.
-func (e *Engine) executePlan(job *Job, exec *campaign.Executor, plan []campaign.Job) []campaign.Outcome {
-	var prior []campaign.Outcome
-	if rf := job.resumeFrom; rf != nil {
-		rf.mu.Lock()
-		prior = rf.outcomes
-		rf.mu.Unlock()
-	}
-	if len(prior) != len(plan) {
-		return exec.Execute(job.ctx, plan)
-	}
-	merged := append([]campaign.Outcome(nil), prior...)
-	var idxs []int
-	for i, out := range prior {
-		if out.Skipped || (out.Result != nil && out.Result.Cancelled) {
-			idxs = append(idxs, i)
-		}
-	}
-	if len(idxs) == 0 {
-		return merged
-	}
-	sub := make([]campaign.Job, len(idxs))
-	for k, i := range idxs {
-		sub[k] = plan[i]
-	}
-	outs := exec.Execute(job.ctx, sub)
-	for k, out := range outs {
-		out.Index = idxs[k]
-		merged[idxs[k]] = out
-	}
-	return merged
-}
-
 // runPlan executes a campaign plan, on the distributor when it takes
 // the plan and locally otherwise, stores the results, and publishes
 // the outcome stream: one OutcomeEvent per trace in plan order, then
@@ -272,11 +183,10 @@ func (e *Engine) executePlan(job *Job, exec *campaign.Executor, plan []campaign.
 func (e *Engine) runPlan(job *Job, name string, exec *campaign.Executor, plan []campaign.Job) {
 	outcomes, ok := e.distribute(job, exec, plan, name)
 	if !ok {
-		outcomes = e.executePlan(job, exec, plan)
+		outcomes = exec.Execute(job.ctx, plan)
 	}
 	rep := weberr.ReportOutcomes(outcomes)
 	job.mu.Lock()
-	job.plan = plan
 	job.outcomes = outcomes
 	job.report = rep
 	job.mu.Unlock()
@@ -346,8 +256,7 @@ func newReportEvent(name string, rep *weberr.Report) ReportEvent {
 // scheduled in batches through the campaign executor, with replay
 // coverage feeding the mutation corpus. With a fixed FuzzSeed and
 // FuzzBudget the findings report is byte-identical across runs, so a
-// resumed fuzz job simply re-runs from scratch — determinism is the
-// checkpoint.
+// resumed or revived fuzz job re-runs its spec like any other job.
 func (e *Engine) runFuzzCampaign(job *Job, name string) error {
 	spec := job.Spec
 	budget := spec.FuzzBudget
@@ -365,7 +274,7 @@ func (e *Engine) runFuzzCampaign(job *Job, name string) error {
 	// Offer each batch to the distributor under the same eligibility
 	// rules as enumerated campaigns; a refusal falls back to the local
 	// executor mid-loop.
-	if d := e.opts.Distributor; d != nil && spec.Oracle == nil && job.resumeFrom == nil {
+	if d := e.opts.Distributor; d != nil && spec.Oracle == nil {
 		dspec := DistSpec{
 			Campaign: name,
 			Mode:     spec.Mode,
@@ -450,8 +359,7 @@ func fuzzReport(st *campaign.FuzzStats) *weberr.Report {
 // them over shared environments, and violations aggregate into
 // interference findings. With a fixed seed the findings report is
 // byte-identical across runs, parallelism, and sharing modes, so a
-// resumed load job simply re-runs from scratch — determinism is the
-// checkpoint (same contract as the fuzz campaign).
+// resumed or revived load job re-runs its spec like any other job.
 func (e *Engine) runLoadCampaign(job *Job, name string) error {
 	spec := job.Spec
 	o := multiuser.Options{
@@ -488,10 +396,9 @@ func (e *Engine) runLoadCampaign(job *Job, name string) error {
 		},
 	}
 	// Offer the deduplicated schedule jobs to the distributor when it
-	// speaks the load capability; schedules are wire-safe values, so the
-	// only ineligible jobs are resumed ones (local-only by convention
-	// with the other campaigns).
-	if d, ok := e.opts.Distributor.(LoadDistributor); ok && job.resumeFrom == nil {
+	// speaks the load capability; schedules are wire-safe values, so
+	// every load job is eligible.
+	if d, ok := e.opts.Distributor.(LoadDistributor); ok {
 		o.Execute = func(ctx context.Context, sjobs []multiuser.ScheduleJob) ([]multiuser.ScheduleResult, bool) {
 			return d.DistributeLoad(ctx, sjobs, DistSpec{Campaign: name})
 		}
@@ -545,21 +452,8 @@ func loadReport(rep *multiuser.Report) *weberr.Report {
 // minimized to a shortest reproducer of the observed signal, and
 // classified. A cancelled ingestion resumes as a fresh full run.
 func (e *Engine) runReport(job *Job, _ string) error {
-	spec := job.Spec
-	if cause := context.Cause(job.ctx); cause != nil {
-		res := &replayer.Result{Cancelled: true, CancelCause: cause}
-		job.mu.Lock()
-		job.result = res
-		job.mu.Unlock()
-		job.bus.Publish(NewSummaryEvent(0, len(spec.Trace.Commands), res, nil))
-		return nil
-	}
-	b := e.factory(spec.Mode)()
-	session, err := replayer.New(b, spec.Replayer).NewSession(job.ctx, spec.Trace)
-	if err != nil {
-		return err
-	}
-	if err := e.driveSession(job, session); err != nil {
+	session, err := e.replaySession(job)
+	if session == nil || err != nil {
 		return err
 	}
 	res := session.Result()
@@ -577,7 +471,7 @@ func (e *Engine) runReport(job *Job, _ string) error {
 		Type:              "classification",
 		Verdict:           cls.Verdict,
 		Signal:            cls.Signal,
-		Commands:          len(spec.Trace.Commands),
+		Commands:          len(job.Spec.Trace.Commands),
 		MinimizedCommands: len(cls.Minimized.Commands),
 		Replays:           cls.Replays,
 	})

@@ -33,6 +33,9 @@ func TestParseScheduleRejectsMalformed(t *testing.T) {
 		"users:2;slots:-1", // negative slot
 		"users:x;slots:0",
 		"users:2;slots:0,,1",
+		"users:01;slots:0",   // non-canonical user count
+		"users:+1;slots:+0",  // signed numbers
+		"users:2;slots:1,00", // non-canonical slot
 	} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted", bad)

@@ -48,7 +48,8 @@ func (s Schedule) String() string {
 }
 
 // ParseSchedule parses the codec form. It is strict: both fields must
-// appear in order, every slot must be a user index in [0, users), and
+// appear in order, every number must be spelled canonically (no sign,
+// no leading zeros), every slot must be a user index in [0, users), and
 // trailing garbage is an error — a schedule that survives a round trip
 // is byte-identical.
 func ParseSchedule(text string) (Schedule, error) {
@@ -60,8 +61,8 @@ func ParseSchedule(text string) (Schedule, error) {
 	if !ok {
 		return Schedule{}, fmt.Errorf("multiuser: schedule %q: missing ;slots: section", text)
 	}
-	users, err := strconv.Atoi(numStr)
-	if err != nil || users < 1 {
+	users, ok := parseCanonical(numStr)
+	if !ok || users < 1 {
 		return Schedule{}, fmt.Errorf("multiuser: schedule %q: bad user count %q", text, numStr)
 	}
 	s := Schedule{Users: users}
@@ -69,13 +70,20 @@ func ParseSchedule(text string) (Schedule, error) {
 		return s, nil
 	}
 	for _, f := range strings.Split(slotsPart, ",") {
-		u, err := strconv.Atoi(f)
-		if err != nil || u < 0 || u >= users {
+		u, ok := parseCanonical(f)
+		if !ok || u < 0 || u >= users {
 			return Schedule{}, fmt.Errorf("multiuser: schedule %q: bad slot %q", text, f)
 		}
 		s.Slots = append(s.Slots, u)
 	}
 	return s, nil
+}
+
+// parseCanonical parses a decimal number spelled exactly as
+// strconv.Itoa writes it; "+1" and "007" are rejected.
+func parseCanonical(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && s == strconv.Itoa(n)
 }
 
 // scheduleDigest identifies one schedule. Two independent 64-bit lanes

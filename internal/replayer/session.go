@@ -100,6 +100,11 @@ func (s *Session) AddHooks(h Hooks) { s.hooks = append(s.hooks, h) }
 // registry.Declarer. Otherwise Fork fails — typically with
 // browser.ErrNotForkable or *registry.NotDeclaredError — and the
 // caller falls back to replaying the prefix in a fresh environment.
+//
+// Forks serve the campaign trie's shared prefixes only. A cancelled
+// session is never forked to continue it: a cancelled job resumes by
+// re-running its spec in a fresh world (see jobs.Engine.Resume), which
+// replays to the same outcome because replay is deterministic.
 func (s *Session) Fork() (*Session, error) {
 	return s.ForkFor(s.trace)
 }
@@ -129,50 +134,6 @@ func (s *Session) ForkFor(tr command.Trace) (*Session, error) {
 		done:     s.done,
 	}
 	return ns, nil
-}
-
-// Resume continues a cancelled session under a fresh context: the
-// whole environment is forked at the command boundary the cancellation
-// stopped at, and the returned session picks up at the next unreplayed
-// command in the copy. The cancelled session's steps are carried over
-// with the Cancelled mark cleared, so the resumed session's final
-// Result has exactly the shape an uninterrupted full replay produces.
-// The original session stays final — resuming it twice forks the same
-// checkpoint twice.
-//
-// Like Fork, resuming requires a forkable environment; otherwise the
-// caller falls back to replaying the whole trace in a fresh world.
-// Halted sessions cannot resume: the replay ended because the driver
-// lost its client, not because anyone asked it to stop.
-func (s *Session) Resume(ctx context.Context) (*Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.res.Halted {
-		return nil, fmt.Errorf("replayer: a halted session cannot resume")
-	}
-	if !s.res.Cancelled {
-		return nil, fmt.Errorf("replayer: only a cancelled session can resume")
-	}
-	fk, err := s.replayer.browser.Fork()
-	if err != nil {
-		return nil, err
-	}
-	tab := fk.Tab(s.tab)
-	res := s.res.Clone()
-	res.Cancelled = false
-	res.CancelCause = nil
-	return &Session{
-		replayer: New(fk.Browser, s.replayer.opts),
-		ctx:      ctx,
-		trace:    s.trace,
-		tab:      tab,
-		driver:   s.driver.CloneFor(tab, fk.Frame),
-		hooks:    append([]Hooks(nil), s.hooks...),
-		next:     s.next,
-		res:      res,
-		done:     s.next >= len(s.trace.Commands),
-	}, nil
 }
 
 // Retarget swaps the session's trace for tr, which must agree with the

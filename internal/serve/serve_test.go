@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,15 +386,17 @@ func TestHTTPCancelMatchesContextCancel(t *testing.T) {
 
 	// HTTP path: the same hook issues the cancel over the API. The hook
 	// blocks the replay goroutine until the POST returns, so the cancel
-	// lands at the same command boundary.
+	// lands at the same command boundary. It fires once: the resumed job
+	// below re-runs the spec, hooks included.
 	engine := jobs.New(jobs.Options{Workers: 1, QueueDepth: 2})
 	_, ts := testServer(t, Options{Engine: engine})
 	var jobID string
 	var mu sync.Mutex
+	var cancelled atomic.Bool
 	spec := jobs.Spec{Kind: jobs.KindReplay, Trace: tr, Replayer: replayer.Options{
 		Hooks: []replayer.Hooks{{
 			AfterStep: func(step replayer.Step, tab *browser.Tab) {
-				if step.Index != stopAfter {
+				if step.Index != stopAfter || !cancelled.CompareAndSwap(false, true) {
 					return
 				}
 				mu.Lock()
