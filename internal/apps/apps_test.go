@@ -139,6 +139,22 @@ func TestGMailRegeneratesIDs(t *testing.T) {
 	}
 }
 
+// TestGMailRootRedirectsToInbox: a visit to the bare host lands on the
+// mailbox, compose chrome and all.
+func TestGMailRootRedirectsToInbox(t *testing.T) {
+	env := NewEnv(browser.UserMode)
+	tab := env.Browser.NewTab()
+	if err := tab.Navigate("https://" + GMailHost + "/"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.URL(); got != GMailURL {
+		t.Errorf("landed on %q, want %q", got, GMailURL)
+	}
+	if _, compose := locate(tab, byName("compose")); compose == nil {
+		t.Error("no compose button after the redirect")
+	}
+}
+
 func TestGMailDragMarksHeader(t *testing.T) {
 	env := NewEnv(browser.UserMode)
 	tab := env.Browser.NewTab()

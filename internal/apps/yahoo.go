@@ -100,14 +100,6 @@ func (y *Yahoo) home(req *netsim.Request, sess *webapp.Session) *netsim.Response
 	return netsim.OK(webapp.Page("Yahoo!", body, ""))
 }
 
-// LastPresence returns the portal-global last-arrival slot (test
-// introspection for the seeded session-collision bug).
-func (y *Yahoo) LastPresence() string {
-	y.mu.Lock()
-	defer y.mu.Unlock()
-	return y.data.LastName
-}
-
 // presenceHello announces a user. The name is stored in the session —
 // and also in a portal-global "last arrival" slot, a classic shortcut
 // from the single-user test environment where the two are always the

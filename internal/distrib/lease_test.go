@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -231,8 +232,8 @@ func TestOlderWorkerReportRejected(t *testing.T) {
 }
 
 // FuzzLeaseDecode: decoding and expanding arbitrary lease bytes never
-// panics. A lease that decodes expands every ref, and re-sealing it
-// decodes to the same jobs.
+// panics. A grant that decodes carries a valid DistSpec, expands every
+// ref, and re-sealing it decodes to the same jobs.
 func FuzzLeaseDecode(f *testing.F) {
 	l := WireLease{
 		Status: StatusLease, ID: "lease-1", DistSpec: jobs.DistSpec{Campaign: "navigation"}, Token: "run-1/0", Depth: 1,
@@ -253,10 +254,18 @@ func FuzzLeaseDecode(f *testing.F) {
 	f.Add([]byte(`{"status":"lease","commands":[{"a":1,"p":"//a"}],"dictJobs":[{"refs":[0,1]}]}`))
 	f.Add([]byte(`{"status":"lease","dictJobs":[{"refs":[-1]}]}`))
 	f.Add([]byte(`{"status":"lease","dictJobs":[{"refs":null}],"sum":1}`))
+	l.Parallelism = 5000
+	if sealed, err = seal(l); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		l, cjobs, err := decodeLease(body)
 		if err != nil {
 			return
+		}
+		if err := l.DistSpec.Validate(); l.Status == StatusLease && err != nil {
+			t.Fatalf("accepted a grant whose spec fails validation: %v", err)
 		}
 		if len(cjobs) != len(l.Jobs) {
 			t.Fatalf("expanded %d jobs from %d", len(cjobs), len(l.Jobs))
@@ -279,4 +288,31 @@ func FuzzLeaseDecode(f *testing.F) {
 			t.Fatalf("re-sealed lease expanded to different jobs")
 		}
 	})
+}
+
+// TestDecodeLeaseValidatesSpec: a sealed grant whose DistSpec fails
+// validation takes the corrupt-lease path, a failed poll, so the worker
+// never builds an executor from it.
+func TestDecodeLeaseValidatesSpec(t *testing.T) {
+	for _, spec := range []jobs.DistSpec{
+		{Campaign: "navigation", Parallelism: 5000},
+		{Campaign: "navigation", Mode: 9},
+		{Campaign: "martian"},
+	} {
+		body, err := seal(WireLease{Status: StatusLease, ID: "lease-1", DistSpec: spec, Token: "run-1/0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := decodeLease(body); !errors.Is(err, jobs.ErrInvalidSpec) {
+			t.Errorf("%+v: decodeLease = %v, want ErrInvalidSpec", spec, err)
+		}
+	}
+	// Replies that grant nothing carry no spec to check.
+	body, err := seal(WireLease{Status: StatusIdle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeLease(body); err != nil {
+		t.Errorf("idle reply rejected: %v", err)
+	}
 }

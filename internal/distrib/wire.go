@@ -236,8 +236,9 @@ func (l *WireLease) expandJobs() ([]campaign.Job, error) {
 }
 
 // decodeLease decodes a lease reply, verifies its seal against the
-// bytes it arrived as, and expands its jobs. Any failure is a failed
-// poll: the worker's next poll forfeits the grant it never received.
+// bytes it arrived as, expands its jobs and validates a grant's
+// DistSpec. Any failure is a failed poll: the worker's next poll
+// forfeits the grant it never received.
 func decodeLease(body []byte) (*WireLease, []campaign.Job, error) {
 	var l WireLease
 	if err := json.Unmarshal(body, &l); err != nil {
@@ -247,6 +248,9 @@ func decodeLease(body []byte) (*WireLease, []campaign.Job, error) {
 		return nil, nil, errors.New("distrib: lease reply failed checksum verification")
 	}
 	cjobs, err := l.expandJobs()
+	if err == nil && l.Status == StatusLease {
+		err = l.DistSpec.Validate()
+	}
 	if err != nil {
 		return nil, nil, err
 	}

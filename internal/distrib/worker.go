@@ -254,9 +254,8 @@ func (w *Worker) lease(ctx context.Context) (*WireLease, []campaign.Job, error) 
 // continues through the standard campaign scheduler
 // (campaign.Executor.ExecuteShard). A load shard executes each
 // schedule job in a fresh shared world from the process's workload
-// registry — the schedule codec is the whole recipe. A trace shard of a
-// campaign this build does not know reports no outcomes, which the
-// coordinator rejects.
+// registry — the schedule codec is the whole recipe. decodeLease has
+// already refused a campaign this build does not know.
 func (w *Worker) execute(ctx context.Context, l *WireLease, cjobs []campaign.Job) CompleteMsg {
 	msg := CompleteMsg{Worker: w.opts.ID, Lease: l.ID, Token: l.Token}
 	if exec := l.ShardExecutor(w.opts.EnvFactory); exec != nil {

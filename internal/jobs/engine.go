@@ -95,21 +95,32 @@ type DistSpec struct {
 // when the campaign's shards are not traces (load runs ship schedule
 // jobs) or the campaign is unknown to this build.
 func (d DistSpec) ShardExecutor(envFactory func(browser.Mode) campaign.EnvFactory) *campaign.Executor {
-	for _, k := range kinds {
-		if k.campaign != d.Campaign || k.shardExecutor == nil {
-			continue
-		}
-		mode := d.Mode
-		if mode == 0 {
-			mode = browser.DeveloperMode
-		}
-		return k.shardExecutor(envFactory(mode), weberr.CampaignOptions{
-			Replayer:       d.Replayer,
-			DisablePruning: d.DisablePruning,
-			Parallelism:    d.Parallelism,
-		})
+	k := campaignEntry(d.Campaign)
+	if k == nil || k.shardExecutor == nil {
+		return nil
 	}
-	return nil
+	mode := d.Mode
+	if mode == 0 {
+		mode = browser.DeveloperMode
+	}
+	return k.shardExecutor(envFactory(mode), weberr.CampaignOptions{
+		Replayer:       d.Replayer,
+		DisablePruning: d.DisablePruning,
+		Parallelism:    d.Parallelism,
+	})
+}
+
+// Validate checks a lease's spec with the bounds Spec.Validate applies:
+// a campaign this build knows, a valid build and pacing, and the
+// parallelism bound. A failure wraps ErrInvalidSpec.
+func (d DistSpec) Validate() error {
+	if campaignEntry(d.Campaign) == nil {
+		return invalidf("unknown campaign %q", d.Campaign)
+	}
+	if err := validBuild(d.Mode, d.Replayer.Pacing); err != nil {
+		return err
+	}
+	return inRange("parallelism", d.Parallelism, maxParallelism)
 }
 
 // Distributor executes a campaign plan across a worker pool. ok ==
@@ -195,21 +206,23 @@ func (e *Engine) factory(mode browser.Mode) campaign.EnvFactory {
 	return f
 }
 
-// Submit validates and enqueues a job. It fails fast with ErrQueueFull
-// when the bounded queue is full and ErrDraining once a drain began —
-// it never blocks the caller.
+// Submit validates and enqueues a job. It fails with ErrInvalidSpec
+// when the spec fails Validate, fast with ErrQueueFull when the bounded
+// queue is full and ErrDraining once a drain began — it never blocks
+// the caller.
 func (e *Engine) Submit(spec Spec) (*Job, error) {
-	if spec.Kind.entry().run == nil {
-		return nil, fmt.Errorf("jobs: unknown job kind %d", spec.Kind)
-	}
 	if spec.Mode == 0 {
 		spec.Mode = browser.DeveloperMode
 	}
 	return e.enqueue(spec)
 }
 
-// enqueue creates the Job record and offers it to the queue.
+// enqueue validates the spec, creates the Job record and offers it to
+// the queue: the one path of submission, resumption and revival.
 func (e *Engine) enqueue(spec Spec) (*Job, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
@@ -337,23 +350,21 @@ func (e *Engine) Resume(id string) (*Job, error) {
 // recovered job re-runs its journaled spec whole: replays run on the
 // virtual clock and campaign specs are seeded, so a re-run rebuilds the
 // same worlds and reproduces the same stream — the spec is the
-// checkpoint. Each revival is journaled, so a second crash never
-// revives twice.
+// checkpoint. A spec that fails Validate (a kind this build does not
+// know, a count out of bounds) is warned about and skipped. Each
+// revival is journaled, so a second crash never revives twice.
 func (e *Engine) Revive(recovered []RecoveredJob) []*Job {
 	j := e.opts.Journal
 	var out []*Job
 	for _, rj := range recovered {
-		if rj.Spec.Kind.entry().run == nil {
-			if j != nil {
-				j.warnf("jobs: not reviving epoch %d %s: unknown kind", rj.Epoch, rj.ID)
-			}
-			continue
-		}
 		job, err := e.enqueue(rj.Spec)
-		if err != nil {
-			if j != nil {
-				j.warnf("jobs: reviving epoch %d %s: %v", rj.Epoch, rj.ID, err)
-			}
+		var invalid invalidSpec
+		switch {
+		case errors.As(err, &invalid):
+			j.warnf("jobs: not reviving epoch %d %s: %s", rj.Epoch, rj.ID, string(invalid))
+			continue
+		case err != nil:
+			j.warnf("jobs: reviving epoch %d %s: %v", rj.Epoch, rj.ID, err)
 			continue
 		}
 		if j != nil {

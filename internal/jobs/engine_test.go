@@ -21,6 +21,7 @@ import (
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/command"
 	"github.com/dslab-epfl/warr/internal/core"
+	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/registry"
 	"github.com/dslab-epfl/warr/internal/replayer"
 	"github.com/dslab-epfl/warr/internal/weberr"
@@ -170,6 +171,85 @@ func TestSubmitRejectsUnknownKind(t *testing.T) {
 	defer e.Close()
 	if _, err := e.Submit(Spec{Kind: Kind(42)}); err == nil {
 		t.Fatal("Submit accepted an unknown kind")
+	}
+}
+
+// TestSpecValidate probes every rule of the one validator, each bound
+// at its edge, through Validate itself: no spec here ever runs.
+func TestSpecValidate(t *testing.T) {
+	trace := command.Trace{StartURL: "http://sites.test/"}
+	load := func(s Spec) Spec {
+		s.Kind, s.Workload = KindLoadCampaign, "sites-notes"
+		return s
+	}
+	for _, c := range []struct {
+		spec Spec
+		want string // "" = valid
+	}{
+		{Spec{Kind: KindReplay}, ""}, // an empty trace is the caller's to choose
+		{Spec{Kind: KindReplay, Trace: trace, Replicas: maxReplicas, Parallelism: maxParallelism,
+			Mode: browser.UserMode, Replayer: replayer.Options{Pacing: replayer.PaceNone}}, ""},
+		{Spec{Kind: KindTimingCampaign, Trace: trace, Mode: browser.DeveloperMode,
+			Replayer: replayer.Options{Pacing: replayer.PaceRecorded}}, ""},
+		{Spec{Kind: KindFuzzCampaign, Trace: trace, FuzzBudget: maxFuzzBudget}, ""},
+		{load(Spec{Users: maxUsers, Cohort: multiuser.MaxCohort, ScheduleBudget: maxScheduleBudget, Duration: maxDuration}), ""},
+		{Spec{Kind: Kind(42)}, "unknown kind"},
+		{Spec{Kind: KindReplay, Mode: 9}, "mode 9 not valid"},
+		{Spec{Kind: KindReplay, Replayer: replayer.Options{Pacing: 9}}, "pacing 9 not valid"},
+		{Spec{Kind: KindReplay, Replicas: maxReplicas + 1}, "replicas"},
+		{Spec{Kind: KindReplay, Replicas: -1}, "replicas"},
+		{Spec{Kind: KindNavigationCampaign, Parallelism: maxParallelism + 1}, "parallelism"},
+		{Spec{Kind: KindNavigationCampaign, MaxTraces: -1}, "maxTraces"},
+		{Spec{Kind: KindFuzzCampaign, FuzzBudget: maxFuzzBudget + 1}, "fuzzBudget"},
+		{load(Spec{Users: maxUsers + 1}), "users"},
+		{load(Spec{Cohort: multiuser.MaxCohort + 1}), "cohort"},
+		{load(Spec{ScheduleBudget: maxScheduleBudget + 1}), "scheduleBudget"},
+		{load(Spec{Duration: maxDuration + 1}), "duration"},
+		{load(Spec{Duration: -1}), "duration"},
+		{load(Spec{TraceName: "t"}), "not traces"},
+		{load(Spec{Trace: trace}), "not traces"},
+		{Spec{Kind: KindLoadCampaign}, "missing workload"},
+		{Spec{Kind: KindLoadCampaign, Workload: "nope"}, "unknown workload"},
+		{Spec{Kind: KindReplay, Users: 4}, "not valid on a replay job"},
+		{Spec{Kind: KindTimingCampaign, Duration: time.Minute}, "not valid"},
+	} {
+		err := c.spec.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: %v", c.spec, err)
+		case c.want != "" && (!errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: error %v, want ErrInvalidSpec with %q", c.spec, err, c.want)
+		}
+	}
+
+	// Submit refuses before a job exists.
+	e := New(Options{Workers: 1, QueueDepth: 1})
+	defer e.Close()
+	if job, err := e.Submit(Spec{Kind: KindReplay, Replicas: maxReplicas + 1}); job != nil || !errors.Is(err, ErrInvalidSpec) {
+		t.Errorf("Submit = %v, %v; want ErrInvalidSpec", job, err)
+	}
+	if n := len(e.Jobs()); n != 0 {
+		t.Errorf("refused submissions left %d jobs", n)
+	}
+}
+
+// TestDistSpecValidate: a lease's spec gets the same bounds as a job's.
+func TestDistSpecValidate(t *testing.T) {
+	for _, c := range []struct {
+		spec DistSpec
+		ok   bool
+	}{
+		{DistSpec{Campaign: "navigation", Mode: browser.DeveloperMode, Parallelism: maxParallelism}, true},
+		{DistSpec{Campaign: "load"}, true},
+		{DistSpec{}, false},
+		{DistSpec{Campaign: "martian"}, false},
+		{DistSpec{Campaign: "timing", Parallelism: maxParallelism + 1}, false},
+		{DistSpec{Campaign: "fuzz", Mode: 9}, false},
+		{DistSpec{Campaign: "fuzz", Replayer: replayer.Options{Pacing: -1}}, false},
+	} {
+		if err := c.spec.Validate(); (err == nil) != c.ok || (err != nil && !errors.Is(err, ErrInvalidSpec)) {
+			t.Errorf("%+v: Validate = %v, want ok=%v", c.spec, err, c.ok)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ package jobs
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -87,6 +89,17 @@ func (k Kind) entry() *kindEntry {
 		return &kinds[0]
 	}
 	return &kinds[k]
+}
+
+// campaignEntry returns the kind table entry that runs the named
+// campaign (nil when this build knows no such campaign).
+func campaignEntry(name string) *kindEntry {
+	for i := range kinds {
+		if name != "" && kinds[i].campaign == name {
+			return &kinds[i]
+		}
+	}
+	return nil
 }
 
 // String returns the kind's name ("unknown" for a kind this build does
@@ -220,6 +233,95 @@ type Spec struct {
 	DisableLoadSharing bool `json:"disableLoadSharing,omitempty"`
 }
 
+// ErrInvalidSpec wraps every reason Validate rejects a spec, whichever
+// door the spec came through, so a front end can answer it as the
+// caller's fault.
+var ErrInvalidSpec = errors.New("jobs: invalid spec")
+
+// invalidSpec is one reason a spec fails validation.
+type invalidSpec string
+
+func (r invalidSpec) Error() string { return ErrInvalidSpec.Error() + ": " + string(r) }
+func (invalidSpec) Unwrap() error   { return ErrInvalidSpec }
+
+func invalidf(format string, args ...any) error { return invalidSpec(fmt.Sprintf(format, args...)) }
+
+// The one table of the bounds on a spec's counts (the cohort bound is
+// multiuser.MaxCohort, which every world enforces). They sit far above
+// any sensible run, so that a spec from a client, a journal or a lease
+// cannot make a process allocate per-unit state without limit.
+const (
+	maxReplicas       = 1024
+	maxParallelism    = 1024
+	maxFuzzBudget     = 65536
+	maxUsers          = 1 << 21
+	maxScheduleBudget = 4096
+	maxDuration       = 24 * time.Hour
+)
+
+// Validate checks the spec against the kind table and the bounds: the
+// one check Engine.enqueue applies to each submission, resumption and
+// revival. An empty trace is valid. A failure wraps ErrInvalidSpec.
+func (s *Spec) Validate() error {
+	k := s.Kind.entry()
+	if k.run == nil {
+		return invalidSpec("unknown kind")
+	}
+	for _, err := range []error{
+		validBuild(s.Mode, s.Replayer.Pacing),
+		inRange("replicas", s.Replicas, maxReplicas),
+		inRange("parallelism", s.Parallelism, maxParallelism),
+		inRange("fuzzBudget", s.FuzzBudget, maxFuzzBudget),
+		inRange("users", s.Users, maxUsers),
+		inRange("cohort", s.Cohort, multiuser.MaxCohort),
+		inRange("scheduleBudget", s.ScheduleBudget, maxScheduleBudget),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	switch {
+	case s.MaxTraces < 0:
+		return invalidf("maxTraces %d negative", s.MaxTraces)
+	case s.Duration < 0 || s.Duration > maxDuration:
+		return invalidf("duration %s out of range [0, %s]", s.Duration, maxDuration)
+	case !k.workload:
+		if s.Workload != "" || s.Users != 0 || s.Cohort != 0 || s.ScheduleBudget != 0 ||
+			s.ScheduleSeed != 0 || s.Duration != 0 || s.DisableLoadSharing {
+			return invalidf("load-campaign fields are not valid on a %s job", k.name)
+		}
+	case s.TraceName != "" || s.Trace.StartURL != "" || len(s.Trace.Commands) > 0:
+		return invalidf("%s jobs run workloads, not traces", k.name)
+	case s.Workload == "":
+		return invalidf("%s job missing workload", k.name)
+	default:
+		if _, err := multiuser.LookupWorkload(s.Workload); err != nil {
+			return invalidSpec(err.Error())
+		}
+	}
+	return nil
+}
+
+// validBuild checks the browser build and the pacing a spec or a lease
+// selects: zero (the default) or a defined value. Both enumerations
+// count up from 1 without gaps.
+func validBuild(mode browser.Mode, pacing replayer.Pacing) error {
+	if mode < 0 || mode > browser.DeveloperMode {
+		return invalidf("mode %d not valid", mode)
+	}
+	if pacing < 0 || pacing > replayer.PaceNone {
+		return invalidf("pacing %d not valid", pacing)
+	}
+	return nil
+}
+
+func inRange(name string, n, max int) error {
+	if n < 0 || n > max {
+		return invalidf("%s %d out of range [0, %d]", name, n, max)
+	}
+	return nil
+}
+
 // Classification is the stored outcome of AUsER report ingestion.
 type Classification struct {
 	// Verdict is console-error, replay-failure, replay-halted, or
@@ -271,130 +373,73 @@ type Job struct {
 	resumed  string              // id of the job resuming this one
 }
 
+// locked reads one of the job's mutable fields under its lock.
+func locked[T any](j *Job, field *T) T {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return *field
+}
+
 // Events returns the job's event bus.
 func (j *Job) Events() *Bus { return j.bus }
 
 // State returns the job's current state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
+func (j *Job) State() State { return locked(j, &j.state) }
 
 // Err returns the runner failure for StateFailed jobs.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
+func (j *Job) Err() error { return locked(j, &j.err) }
 
 // CancelCause returns why a cancelled job was cancelled.
-func (j *Job) CancelCause() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cause
-}
+func (j *Job) CancelCause() error { return locked(j, &j.cause) }
 
 // Result returns the replay result (nil for campaign jobs, partial for
 // cancelled jobs).
-func (j *Job) Result() *replayer.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
+func (j *Job) Result() *replayer.Result { return locked(j, &j.result) }
 
 // Tab returns the final page of a single-session replay job, for
 // oracles that inspect it. It is only safe to use after the job
 // finished.
-func (j *Job) Tab() *browser.Tab {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tab
-}
+func (j *Job) Tab() *browser.Tab { return locked(j, &j.tab) }
 
 // Outcomes returns the per-trace campaign outcomes (or per-replica
 // outcomes for replicated replay jobs), in job order.
-func (j *Job) Outcomes() []campaign.Outcome {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.outcomes
-}
+func (j *Job) Outcomes() []campaign.Outcome { return locked(j, &j.outcomes) }
 
 // Report returns a campaign job's report.
-func (j *Job) Report() *weberr.Report {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.report
-}
+func (j *Job) Report() *weberr.Report { return locked(j, &j.report) }
 
 // TaskTree and Grammar return a navigation campaign's inferred
 // structures (nil until inference ran).
-func (j *Job) TaskTree() *weberr.TaskTree {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tree
-}
+func (j *Job) TaskTree() *weberr.TaskTree { return locked(j, &j.tree) }
 
 // Grammar returns the grammar a navigation campaign injected errors
 // into.
-func (j *Job) Grammar() *weberr.Grammar {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.grammar
-}
+func (j *Job) Grammar() *weberr.Grammar { return locked(j, &j.grammar) }
 
 // FuzzStats returns a fuzz campaign's aggregate stats (nil until the
 // campaign ran).
-func (j *Job) FuzzStats() *campaign.FuzzStats {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fuzz
-}
+func (j *Job) FuzzStats() *campaign.FuzzStats { return locked(j, &j.fuzz) }
 
 // LoadReport returns a load campaign's report (nil until the campaign
 // ran).
-func (j *Job) LoadReport() *multiuser.Report {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.load
-}
+func (j *Job) LoadReport() *multiuser.Report { return locked(j, &j.load) }
 
 // Classification returns a report job's ingestion outcome.
-func (j *Job) Classification() *Classification {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.class
-}
+func (j *Job) Classification() *Classification { return locked(j, &j.class) }
 
 // ResumedBy returns the id of the job that resumed this one ("" if
 // none).
-func (j *Job) ResumedBy() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.resumed
-}
+func (j *Job) ResumedBy() string { return locked(j, &j.resumed) }
 
 // Created, Started and Finished return the job's lifecycle timestamps
 // (zero until reached).
-func (j *Job) Created() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.created
-}
+func (j *Job) Created() time.Time { return locked(j, &j.created) }
 
 // Started returns when a worker picked the job up.
-func (j *Job) Started() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.started
-}
+func (j *Job) Started() time.Time { return locked(j, &j.started) }
 
 // Finished returns when the job reached a terminal state.
-func (j *Job) Finished() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finished
-}
+func (j *Job) Finished() time.Time { return locked(j, &j.finished) }
 
 // Wait blocks until the job reaches a terminal state (or ctx expires).
 func (j *Job) Wait(ctx context.Context) error {

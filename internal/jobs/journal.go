@@ -230,7 +230,7 @@ func (j *Journal) note(rec journalRecord) {
 }
 
 func (j *Journal) warnf(format string, args ...any) {
-	if j.logf != nil {
+	if j != nil && j.logf != nil {
 		j.logf(format, args...)
 	}
 }

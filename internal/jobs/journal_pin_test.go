@@ -98,7 +98,7 @@ func TestJournalSubmitBytes(t *testing.T) {
 // process, so for any file contents OpenJournal must not panic, must
 // keep exactly the longest prefix of well-formed record lines and
 // append one boot record, and must recover only specs whose JSON round
-// trips.
+// trips and that Validate can judge.
 func FuzzJournalOpen(f *testing.F) {
 	f.Add([]byte(`{"rec":"boot"}` + "\n" + strings.Join(pinSubmitLines, "\n") + "\n"))
 	for _, line := range pinSubmitLines {
@@ -106,6 +106,7 @@ func FuzzJournalOpen(f *testing.F) {
 		f.Add([]byte(line[:len(line)/2]))
 	}
 	f.Add([]byte(`{"rec":"boot"}` + "\n" + `{"rec":"submit","job":"job-1","spec":{"kind":"unheard-of"}}` + "\n" + `{"rec":"revived","ofEpoch":1,"job":"job-1"}` + "\n"))
+	f.Add([]byte(`{"rec":"boot"}` + "\n" + `{"rec":"submit","job":"job-1","spec":{"kind":"load-campaign","workload":"sites-notes","users":4000000,"cohort":65,"parallelism":5000,"mode":9}}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var good int
 		for good < len(data) {
@@ -146,6 +147,9 @@ func FuzzJournalOpen(f *testing.F) {
 			if !reflect.DeepEqual(back, rj.Spec) {
 				t.Fatalf("recovered %s does not round trip:\n got %+v\nwant %+v", rj.ID, back, rj.Spec)
 			}
+			// Revival validates every recovered spec: whatever the bytes,
+			// that check answers and never panics.
+			_ = rj.Spec.Validate()
 		}
 	})
 }

@@ -463,7 +463,7 @@ func TestTerminalRecordPrecedesPublication(t *testing.T) {
 		spec  Spec
 	}{
 		{"done", Spec{Kind: KindReplay, Trace: tr}},
-		{"failed", Spec{Kind: KindLoadCampaign, Workload: "no-such-workload"}},
+		{"failed", Spec{Kind: KindReplay, Trace: command.Trace{StartURL: "http://no-such-host.test/"}}},
 		{"cancelled", slow},
 	}
 	for _, c := range cases {
@@ -660,4 +660,57 @@ func TestJournalForwardReadable(t *testing.T) {
 		}
 	}
 	t.Errorf("no %q warning in %q", want, warnings)
+}
+
+// TestJournalSkipsInvalidSpecs: revival passes every journaled spec
+// through the one validator, so a journal line holding a count out of
+// bounds or a value no build defines is warned about and skipped, never
+// run, and the valid jobs around it still revive.
+func TestJournalSkipsInvalidSpecs(t *testing.T) {
+	replay := `"kind":"replay","trace":{"StartURL":"","Commands":null},"replayer":` + zeroReplayerJSON
+	path := writeJournal(t,
+		`{"rec":"boot"}`,
+		`{"rec":"submit","job":"job-1","spec":{`+replay+`,"parallelism":5000}}`,
+		`{"rec":"submit","job":"job-2","spec":{`+replay+`,"mode":9}}`,
+		`{"rec":"submit","job":"job-3","spec":{"kind":"load-campaign","mode":2,"replayer":`+zeroReplayerJSON+
+			`,"workload":"sites-notes","users":8,"cohort":65}}`,
+		emptyReplaySubmit("job-4"),
+	)
+	var mu sync.Mutex
+	var warnings []string
+	j, recovered, err := OpenJournal(path, func(format string, args ...any) {
+		mu.Lock()
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recovered) != 4 {
+		t.Fatalf("recovered %d jobs, want 4", len(recovered))
+	}
+	e := New(Options{Workers: 1, QueueDepth: 4, Journal: j})
+	revived := e.Revive(recovered)
+	e.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(revived) != 1 || len(e.Jobs()) != 1 {
+		t.Fatalf("revived %d jobs (engine holds %d), want only job-4", len(revived), len(e.Jobs()))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, want := range []string{
+		"jobs: not reviving epoch 1 job-1: parallelism 5000 out of range",
+		"jobs: not reviving epoch 1 job-2: mode 9 not valid",
+		"jobs: not reviving epoch 1 job-3: cohort 65 out of range",
+	} {
+		found := false
+		for _, w := range warnings {
+			found = found || strings.HasPrefix(w, want)
+		}
+		if !found {
+			t.Errorf("no %q warning in %q", want, warnings)
+		}
+	}
 }

@@ -122,15 +122,11 @@ func TestLoadCampaignJobRejectsUnknownWorkload(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
 	job, err := e.Submit(Spec{Kind: KindLoadCampaign, Workload: "no-such-workload"})
-	if err != nil {
-		t.Fatal(err)
+	if job != nil || !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), "no-such-workload") {
+		t.Fatalf("Submit = %v, %v; want an ErrInvalidSpec naming the workload", job, err)
 	}
-	waitJob(t, job)
-	if got := job.State(); got != StateFailed {
-		t.Fatalf("job state = %s, want failed", got)
-	}
-	if job.Err() == nil || !strings.Contains(job.Err().Error(), "no-such-workload") {
-		t.Errorf("job error = %v, want unknown-workload", job.Err())
+	if n := len(e.Jobs()); n != 0 {
+		t.Errorf("the refused submission left %d jobs", n)
 	}
 }
 

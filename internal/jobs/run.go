@@ -167,13 +167,13 @@ func (e *Engine) distribute(job *Job, exec *campaign.Executor, plan []campaign.J
 	if d == nil || job.Spec.Oracle != nil {
 		return nil, false
 	}
-	return d.DistributeCampaign(job.ctx, exec, plan, DistSpec{
-		Campaign:       name,
-		Mode:           job.Spec.Mode,
-		Replayer:       job.Spec.Replayer,
-		DisablePruning: job.Spec.DisablePruning,
-		Parallelism:    job.Spec.Parallelism,
-	})
+	return d.DistributeCampaign(job.ctx, exec, plan, job.Spec.distSpec(name))
+}
+
+// distSpec is the wire form of the spec's campaign settings.
+func (s *Spec) distSpec(campaign string) DistSpec {
+	return DistSpec{Campaign: campaign, Mode: s.Mode, Replayer: s.Replayer,
+		DisablePruning: s.DisablePruning, Parallelism: s.Parallelism}
 }
 
 // runPlan executes a campaign plan, on the distributor when it takes
@@ -275,15 +275,10 @@ func (e *Engine) runFuzzCampaign(job *Job, name string) error {
 	// rules as enumerated campaigns; a refusal falls back to the local
 	// executor mid-loop.
 	if d := e.opts.Distributor; d != nil && spec.Oracle == nil {
-		dspec := DistSpec{
-			Campaign: name,
-			Mode:     spec.Mode,
-			Replayer: spec.Replayer,
-			// The fuzz loop owns pruning (determinism contract); workers
-			// must not prune on their own.
-			DisablePruning: true,
-			Parallelism:    spec.Parallelism,
-		}
+		dspec := spec.distSpec(name)
+		// The fuzz loop owns pruning (determinism contract); workers
+		// must not prune on their own.
+		dspec.DisablePruning = true
 		fopts.Execute = func(ctx context.Context, exec *campaign.Executor, batch []campaign.Job) []campaign.Outcome {
 			if outs, ok := d.DistributeCampaign(ctx, exec, batch, dspec); ok {
 				return outs

@@ -31,6 +31,12 @@ import (
 // enough that every pairwise interference class can fire.
 const DefaultCohort = 4
 
+// MaxCohort is the most users one world may hold. A world costs a
+// browser and a tab per user, and its size can come off the wire (a job
+// spec, a lease), so the bound sits far above any useful cohort but
+// keeps one world's cost finite.
+const MaxCohort = 64
+
 // DefaultScheduleBudget is how many schedules the explorer tries per
 // world size when the caller does not say.
 const DefaultScheduleBudget = 16
@@ -114,6 +120,12 @@ func ExecuteScheduleJob(sj ScheduleJob) ScheduleResult {
 	sched, err := ParseSchedule(sj.Schedule)
 	if err != nil {
 		res.Err = err.Error()
+		return res
+	}
+	// Both counts may come off the wire: check them before NewWorld
+	// builds a browser per user.
+	if sj.Users != sched.Users || sj.Users > MaxCohort {
+		res.Err = fmt.Sprintf("multiuser: job for a %d-user world runs a %d-user schedule (at most %d users per world)", sj.Users, sched.Users, MaxCohort)
 		return res
 	}
 	w, err := NewWorld(wl, sj.Users, sj.Mode, time.Duration(sj.GapNanos))
@@ -267,6 +279,9 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	}
 	if o.Cohort > o.Users {
 		o.Cohort = o.Users
+	}
+	if o.Cohort > MaxCohort {
+		return nil, fmt.Errorf("multiuser: cohort %d above %d users per world", o.Cohort, MaxCohort)
 	}
 	if o.Budget < 1 {
 		o.Budget = DefaultScheduleBudget

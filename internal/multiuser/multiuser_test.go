@@ -2,11 +2,15 @@ package multiuser
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dslab-epfl/warr/internal/apps"
 	"github.com/dslab-epfl/warr/internal/browser"
+	"github.com/dslab-epfl/warr/internal/registry"
 )
 
 func TestScheduleCodecRoundTrip(t *testing.T) {
@@ -373,5 +377,67 @@ func TestWorkloadRegistry(t *testing.T) {
 	}
 	if _, err := LookupWorkload("no-such-workload"); err == nil {
 		t.Errorf("unknown workload lookup succeeded")
+	}
+}
+
+// scriptCalls counts the Script calls of the "script-counter" workload:
+// one per user of every world built from it.
+var (
+	scriptCalls     atomic.Int64
+	registerOnce    sync.Once
+	counterWorkload = "script-counter"
+)
+
+func registerScriptCounter(t *testing.T) {
+	t.Helper()
+	registerOnce.Do(func() {
+		err := RegisterWorkload(Workload{
+			Name:   counterWorkload,
+			Desc:   "one idle user per slot, counting the users built",
+			Apps:   func() []registry.App { return []registry.App{apps.SitesApp()} },
+			Script: func(u, n int) UserScript { scriptCalls.Add(1); return UserScript{Tag: "idle"} },
+			Check:  func(w *World) []Violation { return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestScheduleJobCheckedBeforeWorldBuilt: a schedule job's user count
+// comes off the wire, so one that disagrees with its schedule, or
+// exceeds MaxCohort, is refused before a single user is built; so is a
+// campaign whose cohort exceeds MaxCohort.
+func TestScheduleJobCheckedBeforeWorldBuilt(t *testing.T) {
+	registerScriptCounter(t)
+	for _, sj := range []ScheduleJob{
+		{Workload: counterWorkload, Users: 2000, Schedule: "users:1;slots:"},
+		{Workload: counterWorkload, Users: 1, Schedule: "users:2;slots:"},
+		{Workload: counterWorkload, Users: MaxCohort + 1, Schedule: fmt.Sprintf("users:%d;slots:", MaxCohort+1)},
+	} {
+		scriptCalls.Store(0)
+		res := ExecuteScheduleJob(sj)
+		if res.Err == "" {
+			t.Errorf("%d-user job with schedule %q ran", sj.Users, sj.Schedule)
+		}
+		if n := scriptCalls.Load(); n != 0 {
+			t.Errorf("%d-user job with schedule %q built %d users before it was refused", sj.Users, sj.Schedule, n)
+		}
+	}
+	// So is a campaign asking for worlds above the bound.
+	if _, err := Run(context.Background(), Options{Workload: counterWorkload, Users: 2 * MaxCohort, Cohort: MaxCohort + 1}); err == nil {
+		t.Errorf("a campaign with cohort %d ran", MaxCohort+1)
+	}
+	if n := scriptCalls.Load(); n != 0 {
+		t.Errorf("a campaign with cohort %d built %d users before it was refused", MaxCohort+1, n)
+	}
+	// The largest world the bound admits still runs.
+	scriptCalls.Store(0)
+	sj := ScheduleJob{Workload: counterWorkload, Users: MaxCohort, Schedule: fmt.Sprintf("users:%d;slots:", MaxCohort)}
+	if res := ExecuteScheduleJob(sj); res.Err != "" {
+		t.Fatalf("%d-user world refused: %s", MaxCohort, res.Err)
+	}
+	if n := scriptCalls.Load(); n != MaxCohort {
+		t.Errorf("a %d-user world built %d users", MaxCohort, n)
 	}
 }

@@ -2,13 +2,15 @@ package serve
 
 // Fuzzing the HTTP job-submission decoder: whatever bytes arrive on
 // POST /api/jobs, DecodeJobRequest must never panic, and anything it
-// accepts must satisfy every invariant the validator promises —
-// otherwise a hostile body could reach the engine with an out-of-range
-// spec.
+// accepts must resolve to a spec jobs.Spec.Validate passes — otherwise
+// a hostile body could reach the engine with an out-of-range spec.
 
 import (
 	"encoding/json"
 	"testing"
+
+	"github.com/dslab-epfl/warr/internal/command"
+	"github.com/dslab-epfl/warr/internal/trace"
 )
 
 func FuzzDecodeJobRequest(f *testing.F) {
@@ -44,31 +46,21 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			}
 			return
 		}
-		// Accepted: every validated invariant must hold.
-		if req.kind() == 0 {
-			t.Fatalf("accepted unknown kind %q", req.Kind)
+		// Accepted: once its trace is uploaded, the request resolves to
+		// a spec the engine's one validator passes.
+		s := &Server{traces: make(map[string]StoredTrace)}
+		if req.Trace != "" {
+			s.AddTrace(req.Trace, trace.Header{}, command.Trace{StartURL: "https://sites.test/"})
 		}
-		if req.Trace == "" {
-			t.Fatal("accepted empty trace")
+		spec, err := s.specFor(req)
+		if err != nil {
+			if req.Trace == "" {
+				return // a trace kind naming no trace: resolution's 400
+			}
+			t.Fatalf("accepted request does not resolve: %v", err)
 		}
-		switch req.Mode {
-		case "", "developer", "user":
-		default:
-			t.Fatalf("accepted mode %q", req.Mode)
-		}
-		switch req.Pacing {
-		case "", "recorded", "none":
-		default:
-			t.Fatalf("accepted pacing %q", req.Pacing)
-		}
-		if req.Replicas < 0 || req.Replicas > 1024 {
-			t.Fatalf("accepted replicas %d", req.Replicas)
-		}
-		if req.Parallelism < 0 || req.Parallelism > 1024 {
-			t.Fatalf("accepted parallelism %d", req.Parallelism)
-		}
-		if req.MaxTraces < 0 {
-			t.Fatalf("accepted maxTraces %d", req.MaxTraces)
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("accepted request resolves to an invalid spec: %v", err)
 		}
 		// An accepted request re-marshals losslessly — the wire shape is
 		// closed under decode/encode.

@@ -1,9 +1,9 @@
 package serve
 
 // The job-submission wire format and its decoder. The decoder is
-// strict — unknown fields, trailing garbage, out-of-range numbers and
-// unknown enum names are all rejected with a diagnostic, never a panic
-// (it is fuzzed; see FuzzDecodeJobRequest).
+// strict — unknown fields, trailing garbage and unknown enum names are
+// rejected with a diagnostic, never a panic (it is fuzzed; see
+// FuzzDecodeJobRequest) — and every bound is jobs.Spec.Validate's.
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 
 	"github.com/dslab-epfl/warr/internal/browser"
 	"github.com/dslab-epfl/warr/internal/jobs"
-	"github.com/dslab-epfl/warr/internal/multiuser"
 	"github.com/dslab-epfl/warr/internal/replayer"
 )
 
@@ -65,20 +64,9 @@ type JobRequest struct {
 	DisableLoadSharing bool `json:"disableLoadSharing,omitempty"`
 }
 
-// bounds a submission may not exceed; far above any sensible run, they
-// exist so a hostile request cannot make the engine allocate per-unit
-// state without limit.
-const (
-	maxReplicas       = 1024
-	maxParallelism    = 1024
-	maxFuzzBudget     = 65536
-	maxUsers          = 1 << 21
-	maxCohort         = 64
-	maxScheduleBudget = 4096
-	maxDuration       = 24 * time.Hour
-)
-
-// DecodeJobRequest parses and validates a job-submission body.
+// DecodeJobRequest parses a job-submission body strictly and checks
+// the spec it names with jobs.Spec.Validate, before its trace is
+// resolved.
 func DecodeJobRequest(data []byte) (*JobRequest, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -91,110 +79,22 @@ func DecodeJobRequest(data []byte) (*JobRequest, error) {
 	if dec.More() {
 		return nil, errors.New("serve: decoding job request: trailing data after JSON object")
 	}
-	if req.Kind == "" {
-		return nil, errors.New("serve: job request missing kind")
+	spec, err := req.spec()
+	if err == nil {
+		err = spec.Validate()
 	}
-	kind := req.kind()
-	if kind == 0 {
-		return nil, fmt.Errorf("serve: unknown job kind %q", req.Kind)
-	}
-	if kind.TakesWorkload() {
-		if req.Trace != "" {
-			return nil, fmt.Errorf("serve: %s jobs run workloads, not traces", kind)
-		}
-		if req.Workload == "" {
-			return nil, fmt.Errorf("serve: %s job missing workload", kind)
-		}
-		if _, err := multiuser.LookupWorkload(req.Workload); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-	} else {
-		if req.Trace == "" {
-			return nil, errors.New("serve: job request missing trace")
-		}
-		if req.Workload != "" || req.Users != 0 || req.Cohort != 0 ||
-			req.ScheduleBudget != 0 || req.ScheduleSeed != 0 || req.Duration != "" || req.DisableLoadSharing {
-			return nil, fmt.Errorf("serve: load-campaign fields are not valid on a %s job", req.Kind)
-		}
-	}
-	switch req.Mode {
-	case "", "developer", "user":
-	default:
-		return nil, fmt.Errorf("serve: unknown mode %q (want developer or user)", req.Mode)
-	}
-	switch req.Pacing {
-	case "", "recorded", "none":
-	default:
-		return nil, fmt.Errorf("serve: unknown pacing %q (want recorded or none)", req.Pacing)
-	}
-	if req.Replicas < 0 || req.Replicas > maxReplicas {
-		return nil, fmt.Errorf("serve: replicas %d out of range [0, %d]", req.Replicas, maxReplicas)
-	}
-	if req.Parallelism < 0 || req.Parallelism > maxParallelism {
-		return nil, fmt.Errorf("serve: parallelism %d out of range [0, %d]", req.Parallelism, maxParallelism)
-	}
-	if req.MaxTraces < 0 {
-		return nil, fmt.Errorf("serve: maxTraces %d negative", req.MaxTraces)
-	}
-	if req.FuzzBudget < 0 || req.FuzzBudget > maxFuzzBudget {
-		return nil, fmt.Errorf("serve: fuzzBudget %d out of range [0, %d]", req.FuzzBudget, maxFuzzBudget)
-	}
-	if req.Users < 0 || req.Users > maxUsers {
-		return nil, fmt.Errorf("serve: users %d out of range [0, %d]", req.Users, maxUsers)
-	}
-	if req.Cohort < 0 || req.Cohort > maxCohort {
-		return nil, fmt.Errorf("serve: cohort %d out of range [0, %d]", req.Cohort, maxCohort)
-	}
-	if req.ScheduleBudget < 0 || req.ScheduleBudget > maxScheduleBudget {
-		return nil, fmt.Errorf("serve: scheduleBudget %d out of range [0, %d]", req.ScheduleBudget, maxScheduleBudget)
-	}
-	if req.Duration != "" {
-		d, err := time.ParseDuration(req.Duration)
-		if err != nil {
-			return nil, fmt.Errorf("serve: parsing duration: %w", err)
-		}
-		if d < 0 || d > maxDuration {
-			return nil, fmt.Errorf("serve: duration %s out of range [0, %s]", d, maxDuration)
-		}
+	if err != nil {
+		return nil, err
 	}
 	return &req, nil
 }
 
-// kind resolves the request's kind name (0 when unknown).
-func (req *JobRequest) kind() jobs.Kind {
-	var k jobs.Kind
-	_ = k.UnmarshalText([]byte(req.Kind))
-	return k
-}
-
-// specFor resolves a validated request into an engine spec.
-func (s *Server) specFor(req *JobRequest) (jobs.Spec, error) {
-	kind := req.kind()
-	if kind.TakesWorkload() {
-		// Workload kinds are self-contained: the workload name stands in
-		// for the trace, and the duration string was validated already.
-		d, _ := time.ParseDuration(req.Duration)
-		return jobs.Spec{
-			Kind:               kind,
-			Workload:           req.Workload,
-			Users:              req.Users,
-			Cohort:             req.Cohort,
-			ScheduleBudget:     req.ScheduleBudget,
-			ScheduleSeed:       req.ScheduleSeed,
-			Duration:           d,
-			Parallelism:        req.Parallelism,
-			DisableLoadSharing: req.DisableLoadSharing,
-			Mode:               modeFor(req.Mode),
-		}, nil
-	}
-	st, ok := s.Trace(req.Trace)
-	if !ok {
-		return jobs.Spec{}, fmt.Errorf("serve: unknown trace %q (upload it first)", req.Trace)
-	}
+// spec maps the request onto an engine spec: kind, mode and pacing
+// names to their values, the duration parsed. The trace is named, not
+// resolved.
+func (req *JobRequest) spec() (jobs.Spec, error) {
 	spec := jobs.Spec{
-		Kind:                 kind,
-		Trace:                st.Trace,
-		TraceName:            st.Name,
+		TraceName:            req.Trace,
 		Replicas:             req.Replicas,
 		Parallelism:          req.Parallelism,
 		MaxTraces:            req.MaxTraces,
@@ -203,18 +103,52 @@ func (s *Server) specFor(req *JobRequest) (jobs.Spec, error) {
 		FuzzBudget:           req.FuzzBudget,
 		FuzzSeed:             req.FuzzSeed,
 		Description:          req.Description,
+		Workload:             req.Workload,
+		Users:                req.Users,
+		Cohort:               req.Cohort,
+		ScheduleBudget:       req.ScheduleBudget,
+		ScheduleSeed:         req.ScheduleSeed,
+		DisableLoadSharing:   req.DisableLoadSharing,
 	}
-	spec.Mode = modeFor(req.Mode)
-	if req.Pacing == "none" {
+	_ = spec.Kind.UnmarshalText([]byte(req.Kind))
+	switch req.Mode {
+	case "", "developer": // engine default
+	case "user":
+		spec.Mode = browser.UserMode
+	default:
+		return spec, fmt.Errorf("serve: unknown mode %q (want developer or user)", req.Mode)
+	}
+	switch req.Pacing {
+	case "", "recorded": // engine default
+	case "none":
 		spec.Replayer.Pacing = replayer.PaceNone
+	default:
+		return spec, fmt.Errorf("serve: unknown pacing %q (want recorded or none)", req.Pacing)
+	}
+	if req.Duration != "" {
+		d, err := time.ParseDuration(req.Duration)
+		if err != nil {
+			return spec, fmt.Errorf("serve: parsing duration: %w", err)
+		}
+		spec.Duration = d
 	}
 	return spec, nil
 }
 
-// modeFor maps a validated mode name to the browser build it selects.
-func modeFor(name string) browser.Mode {
-	if name == "user" {
-		return browser.UserMode
+// specFor resolves a decoded request into an engine spec, looking its
+// trace up among the uploaded ones.
+func (s *Server) specFor(req *JobRequest) (jobs.Spec, error) {
+	spec, err := req.spec()
+	if err != nil || spec.Kind.TakesWorkload() {
+		return spec, err
 	}
-	return 0 // engine default: developer
+	if req.Trace == "" {
+		return spec, errors.New("serve: job request missing trace")
+	}
+	st, ok := s.Trace(req.Trace)
+	if !ok {
+		return spec, fmt.Errorf("serve: unknown trace %q (upload it first)", req.Trace)
+	}
+	spec.Trace, spec.TraceName = st.Trace, st.Name
+	return spec, nil
 }

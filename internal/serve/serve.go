@@ -232,16 +232,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	s.submit(w, spec)
 }
 
-// submit enqueues a spec, mapping backpressure to 503.
+// submit enqueues a spec.
 func (s *Server) submit(w http.ResponseWriter, spec jobs.Spec) {
 	job, err := s.engine.Submit(spec)
 	if err != nil {
-		if errors.Is(err, jobs.ErrQueueFull) || errors.Is(err, jobs.ErrDraining) {
-			// Backpressure, never silent dropping: the client retries.
-			httpUnavailable(w, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
+		engineError(w, err, http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, http.StatusCreated, viewJob(job))
@@ -308,16 +303,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	err := s.engine.Cancel(id, nil)
-	switch {
-	case errors.Is(err, jobs.ErrUnknownJob):
-		httpError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, jobs.ErrJobFinished):
-		httpError(w, http.StatusConflict, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, err)
+	if err := s.engine.Cancel(id, nil); err != nil {
+		engineError(w, err, http.StatusInternalServerError)
 		return
 	}
 	job, err := s.engine.Get(id)
@@ -330,18 +317,8 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResumeJob(w http.ResponseWriter, r *http.Request) {
 	job, err := s.engine.Resume(r.PathValue("id"))
-	switch {
-	case errors.Is(err, jobs.ErrUnknownJob):
-		httpError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, jobs.ErrNotResumable):
-		httpError(w, http.StatusConflict, err)
-		return
-	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrDraining):
-		httpUnavailable(w, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusConflict, err)
+	if err != nil {
+		engineError(w, err, http.StatusConflict)
 		return
 	}
 	writeJSON(w, http.StatusCreated, viewJob(job))
@@ -471,10 +448,22 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// httpUnavailable answers backpressure with 503 plus a Retry-After
-// hint, so well-behaved clients pace their retries instead of hammering
-// a full queue.
-func httpUnavailable(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusServiceUnavailable, err)
+// engineError answers an engine error with the status its sentinel
+// names, else with otherwise. Backpressure is a 503 plus a Retry-After
+// hint, never silent dropping, so well-behaved clients pace their
+// retries instead of hammering a full queue.
+func engineError(w http.ResponseWriter, err error, otherwise int) {
+	status := otherwise
+	switch {
+	case errors.Is(err, jobs.ErrInvalidSpec):
+		status = http.StatusBadRequest
+	case errors.Is(err, jobs.ErrUnknownJob):
+		status = http.StatusNotFound
+	case errors.Is(err, jobs.ErrJobFinished), errors.Is(err, jobs.ErrNotResumable):
+		status = http.StatusConflict
+	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrDraining):
+		w.Header().Set("Retry-After", "1")
+		status = http.StatusServiceUnavailable
+	}
+	httpError(w, status, err)
 }
