@@ -297,7 +297,9 @@ func TestDecodeLeaseValidatesSpec(t *testing.T) {
 	for _, spec := range []jobs.DistSpec{
 		{Campaign: "navigation", Parallelism: 5000},
 		{Campaign: "navigation", Mode: 9},
+		{Campaign: "fuzz", Replayer: replayer.Options{Pacing: -1}},
 		{Campaign: "martian"},
+		{},
 	} {
 		body, err := seal(WireLease{Status: StatusLease, ID: "lease-1", DistSpec: spec, Token: "run-1/0"})
 		if err != nil {

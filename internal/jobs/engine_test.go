@@ -233,26 +233,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestDistSpecValidate: a lease's spec gets the same bounds as a job's.
-func TestDistSpecValidate(t *testing.T) {
-	for _, c := range []struct {
-		spec DistSpec
-		ok   bool
-	}{
-		{DistSpec{Campaign: "navigation", Mode: browser.DeveloperMode, Parallelism: maxParallelism}, true},
-		{DistSpec{Campaign: "load"}, true},
-		{DistSpec{}, false},
-		{DistSpec{Campaign: "martian"}, false},
-		{DistSpec{Campaign: "timing", Parallelism: maxParallelism + 1}, false},
-		{DistSpec{Campaign: "fuzz", Mode: 9}, false},
-		{DistSpec{Campaign: "fuzz", Replayer: replayer.Options{Pacing: -1}}, false},
-	} {
-		if err := c.spec.Validate(); (err == nil) != c.ok || (err != nil && !errors.Is(err, ErrInvalidSpec)) {
-			t.Errorf("%+v: Validate = %v, want ok=%v", c.spec, err, c.ok)
-		}
-	}
-}
-
 func TestQueueBackpressure(t *testing.T) {
 	tr := recordScenario(t, apps.AuthenticateScenario())
 	e := New(Options{Workers: 1, QueueDepth: 1})
