@@ -11,6 +11,8 @@ package warr_test
 //	BenchmarkReplayEditSession          — Fig. 1 (replaying it in a fresh environment)
 //	BenchmarkReplayGMail*               — XPath-relaxation ablation (§IV-C)
 //	BenchmarkTable1TypoDetection        — Table I (186 queries x 3 engines)
+//	BenchmarkSearchCorrect              — Table I's spell-correction layer alone, without the browser
+//	BenchmarkPageLoad                   — one template-cached page load in a fresh environment
 //	BenchmarkTable2Fidelity             — Table II (4 scenarios x 2 recorders)
 //	BenchmarkTaskTreeInference          — Fig. 6
 //	BenchmarkWebErrTraceGeneration      — §V-A (grammar-confined mutants vs exhaustive)
@@ -29,6 +31,7 @@ package warr_test
 import (
 	"context"
 	"crypto/rsa"
+	"math/rand"
 	"net/http/httptest"
 	"runtime/debug"
 	"strings"
@@ -274,6 +277,56 @@ func BenchmarkTable1TypoDetection(b *testing.B) {
 	b.ReportMetric(detected[0], "google-%")
 	b.ReportMetric(detected[1], "bing-%")
 	b.ReportMetric(detected[2], "yahoo-%")
+}
+
+// BenchmarkSearchCorrect is the spell-correction layer of Table I:
+// each engine corrects the 186 queries, each carrying one seeded typo,
+// with no browser or network around it. fixed counts the corrections
+// that restore the original query over all three engines.
+func BenchmarkSearchCorrect(b *testing.B) {
+	rng := rand.New(rand.NewSource(2011))
+	typoed := make([]humanerr.TypoQuery, len(humanerr.Queries186))
+	for i, q := range humanerr.Queries186 {
+		typoed[i] = humanerr.InjectTypoQuery(rng, q)
+	}
+	engines := []*apps.SearchEngine{apps.NewGoogleSearch(), apps.NewBingSearch(), apps.NewYahooSearch()}
+	fixed := 0
+	b.ReportAllocs()
+	gcSettle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fixed = 0
+		for _, e := range engines {
+			for _, tq := range typoed {
+				if got, changed := e.Correct(tq.Typoed); changed && got == tq.Original {
+					fixed++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(fixed), "fixed")
+}
+
+// BenchmarkPageLoad measures one page load as a replay pays it: a fresh
+// environment loads the Docs start page, whose template is already
+// cached, so the load is a template copy, its scripts and the wiring of
+// its inline handlers.
+func BenchmarkPageLoad(b *testing.B) {
+	load := func() *warr.Tab {
+		tab := warr.NewDemoEnv(warr.DeveloperMode).Browser.NewTab()
+		if err := tab.Navigate(apps.DocsURL); err != nil {
+			b.Fatal(err)
+		}
+		return tab
+	}
+	load() // a template is stored from its second sighting
+	load()
+	b.ReportAllocs()
+	gcSettle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
 }
 
 // BenchmarkTable2Fidelity regenerates Table II per iteration: four

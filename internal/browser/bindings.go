@@ -573,11 +573,12 @@ var inlineHandlerAttrs = []string{
 // attribute value is evaluated as a script with `event` bound.
 func wireInlineHandlers(f *Frame) {
 	f.doc.Root().Walk(func(n *dom.Node) bool {
-		if n.Type != dom.ElementNode {
+		// Most elements carry no handler: skip them before the lookups.
+		if n.Type != dom.ElementNode || !n.HasAttrPrefix("on") {
 			return true
 		}
 		for _, attr := range inlineHandlerAttrs {
-			src, ok := n.Attr(attr)
+			src, ok := n.AttrExact(attr)
 			if !ok || strings.TrimSpace(src) == "" {
 				continue
 			}

@@ -109,6 +109,27 @@ func TestInlineOnclick(t *testing.T) {
 	}
 }
 
+// TestInlineHandlersWireInFixedOrder pins the registration order forks
+// replay: document order, then inlineHandlerAttrs order on each element
+// whatever the attribute order, skipping blank handlers and elements
+// whose only on-prefixed attribute is not a handler.
+func TestInlineHandlersWireInFixedOrder(t *testing.T) {
+	env := newEnv(t, UserMode, map[string]string{
+		"/": `<div id="a" one="x" title="t"></div>` +
+			`<input id="b" onblur="1" oninput=" " onkeydown="2" ONCLICK="3">` +
+			`<span id="c"><i id="d" ondrag="4"></i></span>`,
+	})
+	env.navigate(t, "http://app.test/")
+	var got []string
+	for _, rec := range env.tab.MainFrame().listenerLog {
+		got = append(got, rec.node.ID()+":"+rec.typ+":"+rec.src)
+	}
+	want := []string{"b:click:3", "b:keydown:2", "b:blur:1", "d:drag:4"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("listener log = %v, want %v", got, want)
+	}
+}
+
 func TestTypeIntoInput(t *testing.T) {
 	env := newEnv(t, UserMode, map[string]string{
 		"/": `<form action="/s"><input type="text" id="q" name="q"></form>`,

@@ -118,7 +118,7 @@ func (n *Node) QueryIndex() *QueryIndex { return n.qidx }
 // not counted — coverage only tracks the live document.
 func (n *Node) NoteEvent(typ string) {
 	if n.qidx != nil {
-		n.qidx.NoteEvent(EventKey{Type: typ, Tag: n.Tag, ID: n.AttrOr("id", "")})
+		n.qidx.NoteEvent(EventKey{Type: typ, Tag: n.Tag, ID: n.ID()})
 	}
 }
 
@@ -321,14 +321,32 @@ func (n *Node) Depth() int {
 }
 
 // Attr returns the value of the named attribute and whether it is present.
+// The name is case-folded, as HTML attribute names are.
 func (n *Node) Attr(name string) (string, bool) {
-	name = strings.ToLower(name)
+	return n.AttrExact(strings.ToLower(name))
+}
+
+// AttrExact is Attr for a name already in lower case, the case every
+// attribute is stored in: it skips the case folding. Callers that pass
+// lower-case literals use it; names a script supplies go through Attr.
+func (n *Node) AttrExact(name string) (string, bool) {
 	for _, a := range n.attrs {
 		if a.Name == name {
 			return a.Value, true
 		}
 	}
 	return "", false
+}
+
+// HasAttrPrefix reports whether any attribute name starts with the
+// lower-case prefix.
+func (n *Node) HasAttrPrefix(prefix string) bool {
+	for _, a := range n.attrs {
+		if strings.HasPrefix(a.Name, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // AttrOr returns the named attribute's value, or def when absent.
@@ -387,7 +405,10 @@ func (n *Node) Attrs() []Attr {
 }
 
 // ID returns the element's id attribute ("" when absent).
-func (n *Node) ID() string { return n.AttrOr("id", "") }
+func (n *Node) ID() string {
+	id, _ := n.AttrExact("id")
+	return id
+}
 
 // TextContent returns the concatenated text of all descendant text nodes.
 func (n *Node) TextContent() string {

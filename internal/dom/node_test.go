@@ -200,6 +200,20 @@ func TestAttrCaseInsensitive(t *testing.T) {
 	}
 }
 
+func TestAttrExactSkipsCaseFolding(t *testing.T) {
+	n := NewElement("div")
+	n.SetAttr("OnClick", "go()")
+	if v, ok := n.AttrExact("onclick"); !ok || v != "go()" {
+		t.Errorf("AttrExact(onclick) = %q, %v; names are stored lower-case", v, ok)
+	}
+	if _, ok := n.AttrExact("OnClick"); ok {
+		t.Error("AttrExact folded the case of its argument")
+	}
+	if !n.HasAttrPrefix("on") || n.HasAttrPrefix("id") {
+		t.Error("HasAttrPrefix disagrees with the attribute list")
+	}
+}
+
 func TestTextContent(t *testing.T) {
 	n := NewElement("div")
 	n.AppendChild(NewText("Hello "))

@@ -135,6 +135,29 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
+// TestTable1FullRowsSeed2011 pins the full Table I rows the bench and
+// warr-bench report (seed 2011, all 186 queries): any change to an
+// engine's corrector that moves a detection shows here.
+func TestTable1FullRowsSeed2011(t *testing.T) {
+	rows, err := Table1(Table1Options{Seed: 2011})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Table1Row{
+		{Engine: "Google", Queries: 186, Detected: 186},
+		{Engine: "Bing", Queries: 186, Detected: 112},
+		{Engine: "Yahoo!", Queries: 186, Detected: 155},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %+v, want %+v", rows, want)
+	}
+	for i := range want {
+		if rows[i] != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, rows[i], want[i])
+		}
+	}
+}
+
 func TestTable1FullPipelineMatchesFastPath(t *testing.T) {
 	queries := table1Subset(12)
 	fast, err := Table1(Table1Options{Queries: queries, Seed: 7})

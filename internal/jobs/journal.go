@@ -123,48 +123,58 @@ type recState struct {
 	revived  bool
 }
 
-// scan replays the journal from the start. It returns the revivable
-// jobs and the byte offset after the last well-formed record; anything
-// past that offset is a torn write to be truncated. Records are read
-// with a raw line splitter, not bufio.Scanner — the multi-KB checkpoint
-// image lines older builds wrote blow straight through Scanner's
-// default token limit.
+// scan reads the journal file and replays it with scanJournal, leaving
+// the journal at the epoch its last boot record began.
 func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 	data, err := os.ReadFile(j.path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("jobs: reading journal: %w", err)
 	}
+	recovered, good, epoch := scanJournal(data, func(format string, args ...any) {
+		j.warnf("jobs: journal %s: "+format, append([]any{j.path}, args...)...)
+	})
+	j.epoch = epoch
+	return recovered, good, nil
+}
+
+// scanJournal replays journal bytes from the start. It returns the
+// revivable jobs, the byte offset after the last well-formed record
+// (anything past it is a torn write to be truncated) and the number of
+// boot records before that offset. Records are read with a raw line
+// splitter, not bufio.Scanner — the multi-KB checkpoint image lines
+// older builds wrote blow straight through Scanner's default token
+// limit.
+func scanJournal(data []byte, warnf func(format string, args ...any)) (recovered []RecoveredJob, good int64, epoch int) {
 	states := make(map[string]*recState)
 	var order []*recState
 	key := func(epoch int, id string) string { return fmt.Sprintf("%d/%s", epoch, id) }
 	get := func(id string) *recState {
-		k := key(j.epoch, id)
+		k := key(epoch, id)
 		st, ok := states[k]
 		if !ok {
-			st = &recState{epoch: j.epoch, id: id}
+			st = &recState{epoch: epoch, id: id}
 			states[k] = st
 			order = append(order, st)
 		}
 		return st
 	}
-	var good int64
 	for off := 0; off < len(data); {
 		nl := bytes.IndexByte(data[off:], '\n')
 		if nl < 0 {
-			j.warnf("jobs: journal %s: truncated record at offset %d", j.path, off)
+			warnf("truncated record at offset %d", off)
 			break
 		}
 		line := data[off : off+nl]
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			j.warnf("jobs: journal %s: corrupted record at offset %d: %v", j.path, off, err)
+			warnf("corrupted record at offset %d: %v", off, err)
 			break
 		}
 		off += nl + 1
 		good = int64(off)
 		switch rec.Rec {
 		case "boot":
-			j.epoch++
+			epoch++
 		case "submit":
 			st := get(rec.Job)
 			st.spec = rec.Spec
@@ -183,7 +193,6 @@ func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 			// record lands here too and is never decoded.
 		}
 	}
-	var recovered []RecoveredJob
 	for _, st := range order {
 		if st.spec == nil || st.resumed || st.revived {
 			continue
@@ -199,7 +208,7 @@ func (j *Journal) scan() ([]RecoveredJob, int64, error) {
 			Spec:  *st.spec,
 		})
 	}
-	return recovered, good, nil
+	return recovered, good, epoch
 }
 
 // append writes one record and fsyncs it; when append returns nil the

@@ -94,46 +94,50 @@ func TestJournalSubmitBytes(t *testing.T) {
 	}
 }
 
-// FuzzJournalOpen: the journal reader decodes bytes from outside the
-// process, so for any file contents OpenJournal must not panic, must
-// keep exactly the longest prefix of well-formed record lines and
-// append one boot record, and must recover only specs whose JSON round
-// trips and that Validate can judge.
-func FuzzJournalOpen(f *testing.F) {
-	f.Add([]byte(`{"rec":"boot"}` + "\n" + strings.Join(pinSubmitLines, "\n") + "\n"))
+// journalSeeds are journal contents for FuzzJournalOpen and the file
+// round trip: whole, drain-cancelled and torn pinned submits, an unknown
+// kind revived in its own epoch, and out-of-range bounds.
+func journalSeeds() [][]byte {
+	seeds := [][]byte{[]byte(`{"rec":"boot"}` + "\n" + strings.Join(pinSubmitLines, "\n") + "\n")}
 	for _, line := range pinSubmitLines {
-		f.Add([]byte(`{"rec":"boot"}` + "\n" + line + "\n" + `{"rec":"state","job":"job-1","state":"cancelled","cause":"jobs: checkpointed by engine drain"}` + "\n"))
-		f.Add([]byte(line[:len(line)/2]))
+		seeds = append(seeds,
+			[]byte(`{"rec":"boot"}`+"\n"+line+"\n"+`{"rec":"state","job":"job-1","state":"cancelled","cause":"jobs: checkpointed by engine drain"}`+"\n"),
+			[]byte(line[:len(line)/2]))
 	}
-	f.Add([]byte(`{"rec":"boot"}` + "\n" + `{"rec":"submit","job":"job-1","spec":{"kind":"unheard-of"}}` + "\n" + `{"rec":"revived","ofEpoch":1,"job":"job-1"}` + "\n"))
-	f.Add([]byte(`{"rec":"boot"}` + "\n" + `{"rec":"submit","job":"job-1","spec":{"kind":"load-campaign","workload":"sites-notes","users":4000000,"cohort":65,"parallelism":5000,"mode":9}}` + "\n"))
+	return append(seeds,
+		[]byte(`{"rec":"boot"}`+"\n"+`{"rec":"submit","job":"job-1","spec":{"kind":"unheard-of"}}`+"\n"+`{"rec":"revived","ofEpoch":1,"job":"job-1"}`+"\n"),
+		[]byte(`{"rec":"boot"}`+"\n"+`{"rec":"submit","job":"job-1","spec":{"kind":"load-campaign","workload":"sites-notes","users":4000000,"cohort":65,"parallelism":5000,"mode":9}}`+"\n"))
+}
+
+// wellFormedPrefix is the length of the longest prefix of data made of
+// complete record lines that decode.
+func wellFormedPrefix(data []byte) int {
+	good := 0
+	for good < len(data) {
+		nl := bytes.IndexByte(data[good:], '\n')
+		var rec journalRecord
+		if nl < 0 || json.Unmarshal(data[good:good+nl], &rec) != nil {
+			break
+		}
+		good += nl + 1
+	}
+	return good
+}
+
+// FuzzJournalOpen: the journal reader decodes bytes from outside the
+// process, so for any contents the recovery OpenJournal runs
+// (scanJournal) must not panic, must keep exactly the longest prefix of
+// well-formed record lines, and must recover only specs whose JSON
+// round trips and that Validate can judge. It fuzzes the bytes with no
+// file in between; TestJournalOpenRoundTrip covers the file.
+func FuzzJournalOpen(f *testing.F) {
+	for _, seed := range journalSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var good int
-		for good < len(data) {
-			nl := bytes.IndexByte(data[good:], '\n')
-			var rec journalRecord
-			if nl < 0 || json.Unmarshal(data[good:good+nl], &rec) != nil {
-				break
-			}
-			good += nl + 1
-		}
-		path := filepath.Join(t.TempDir(), "jobs.journal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		j, recovered, err := OpenJournal(path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := string(data[:good]) + `{"rec":"boot"}` + "\n"; string(after) != want {
-			t.Fatalf("journal after open:\n%q\nwant the %d-byte well-formed prefix plus one boot record:\n%q", after, good, want)
+		recovered, good, _ := scanJournal(data, func(string, ...any) {})
+		if want := wellFormedPrefix(data); good != int64(want) {
+			t.Fatalf("scanJournal kept %d bytes, want the %d-byte well-formed prefix", good, want)
 		}
 		for _, rj := range recovered {
 			b, err := json.Marshal(rj.Spec)
@@ -152,4 +156,38 @@ func FuzzJournalOpen(f *testing.F) {
 			_ = rj.Spec.Validate()
 		}
 	})
+}
+
+// TestJournalOpenRoundTrip opens a journal file holding each seed:
+// OpenJournal truncates the torn tail, appends exactly one boot record,
+// and recovers what scanJournal recovers from the bytes.
+func TestJournalOpenRoundTrip(t *testing.T) {
+	for i, data := range journalSeeds() {
+		path := filepath.Join(t.TempDir(), "jobs.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recovered, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := wellFormedPrefix(data)
+		if want := string(data[:good]) + `{"rec":"boot"}` + "\n"; string(after) != want {
+			t.Fatalf("seed %d: journal after open:\n%q\nwant the %d-byte well-formed prefix plus one boot record:\n%q", i, after, good, want)
+		}
+		want, _, epoch := scanJournal(data, func(string, ...any) {})
+		if !reflect.DeepEqual(recovered, want) {
+			t.Errorf("seed %d: OpenJournal recovered %+v, scanJournal %+v", i, recovered, want)
+		}
+		if j.Epoch() != epoch+1 {
+			t.Errorf("seed %d: journal epoch %d after %d boot records, want %d", i, j.Epoch(), epoch, epoch+1)
+		}
+	}
 }

@@ -155,10 +155,10 @@ func inlineWidth(n *dom.Node, maxW int) int {
 // hidden reports whether the element is removed from layout via the hidden
 // attribute or an inline display:none style.
 func hidden(n *dom.Node) bool {
-	if n.HasAttr("hidden") {
+	if _, ok := n.AttrExact("hidden"); ok {
 		return true
 	}
-	if style, ok := n.Attr("style"); ok {
+	if style, ok := n.AttrExact("style"); ok {
 		s := strings.ReplaceAll(style, " ", "")
 		if strings.Contains(s, "display:none") {
 			return true

@@ -1,5 +1,7 @@
 package spell
 
+import "strings"
+
 // QueryCorrector corrects whole queries against a corpus of known
 // queries, the way a search engine with rich query logs can: instead of
 // fixing words one at a time against a dictionary, it snaps the entire
@@ -11,7 +13,10 @@ type QueryCorrector struct {
 	// Name identifies the engine flavour in reports.
 	Name string
 
+	// corpus holds the normalized corpus queries in corpus order, and
+	// known the same queries as a set.
 	corpus      []string
+	known       map[string]struct{}
 	maxDistance int
 	// fallback fixes queries that no corpus entry is near enough to.
 	fallback *Corrector
@@ -20,24 +25,29 @@ type QueryCorrector struct {
 // NewQueryCorrector builds a query-level corrector. maxDistance bounds
 // the whole-query edit distance considered; fallback may be nil.
 func NewQueryCorrector(name string, corpus []string, maxDistance int, fallback *Corrector) *QueryCorrector {
-	return &QueryCorrector{
+	c := &QueryCorrector{
 		Name:        name,
-		corpus:      append([]string(nil), corpus...),
+		corpus:      make([]string, len(corpus)),
+		known:       make(map[string]struct{}, len(corpus)),
 		maxDistance: maxDistance,
 		fallback:    fallback,
 	}
+	for i, q := range corpus {
+		c.corpus[i] = normalizeQuery(q)
+		c.known[c.corpus[i]] = struct{}{}
+	}
+	return c
 }
 
 // Correct returns the corrected query and whether it changed.
 func (c *QueryCorrector) Correct(query string) (string, bool) {
 	q := normalizeQuery(query)
+	if _, ok := c.known[q]; ok {
+		return query, false // already a known query
+	}
 	best := ""
 	bestDist := c.maxDistance + 1
-	for _, cand := range c.corpus {
-		nc := normalizeQuery(cand)
-		if nc == q {
-			return query, false // already a known query
-		}
+	for _, nc := range c.corpus {
 		// Cheap length filter before the O(nm) distance.
 		dl := len(nc) - len(q)
 		if dl < 0 {
@@ -46,7 +56,7 @@ func (c *QueryCorrector) Correct(query string) (string, bool) {
 		if dl >= bestDist {
 			continue
 		}
-		if dist := Levenshtein(q, nc); dist < bestDist {
+		if dist := withinDistance(q, nc, bestDist-1); dist < bestDist {
 			best, bestDist = nc, dist
 		}
 	}
@@ -59,14 +69,4 @@ func (c *QueryCorrector) Correct(query string) (string, bool) {
 	return query, false
 }
 
-func normalizeQuery(q string) string {
-	ws := Words(q)
-	out := ""
-	for i, w := range ws {
-		if i > 0 {
-			out += " "
-		}
-		out += w
-	}
-	return out
-}
+func normalizeQuery(q string) string { return strings.Join(Words(q), " ") }

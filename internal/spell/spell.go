@@ -50,6 +50,59 @@ func Levenshtein(a, b string) int {
 	return prev[lb]
 }
 
+// distanceBufLen is the longest second operand (plus one) whose DP rows
+// withinDistance keeps on the stack; every corpus word and query fits.
+const distanceBufLen = 64
+
+// withinDistance returns Levenshtein(a, b) when that is at most bound,
+// and bound+1 otherwise. It fills only the diagonal band |i-j| <= bound,
+// where every cell outside holds more than bound, and stops as soon as a
+// row's band exceeds bound: rows never fall below their predecessor's
+// minimum (Ukkonen, "Algorithms for approximate string matching", 1985).
+// Cells are clamped to bound+1, which keeps every value <= bound exact.
+func withinDistance(a, b string, bound int) int {
+	la, lb := len(a), len(b)
+	if bound < 0 || la-lb > bound || lb-la > bound {
+		return bound + 1
+	}
+	far := bound + 1
+	var buf [2 * distanceBufLen]int
+	var prev, cur []int
+	if lb < distanceBufLen {
+		prev, cur = buf[:lb+1], buf[distanceBufLen:distanceBufLen+lb+1]
+	} else {
+		prev, cur = make([]int, lb+1), make([]int, lb+1)
+	}
+	for j := range prev {
+		prev[j] = min(j, far)
+	}
+	for i := 1; i <= la; i++ {
+		lo, hi := max(1, i-bound), min(lb, i+bound)
+		cur[lo-1] = far
+		if lo == 1 {
+			cur[0] = min(i, far)
+		}
+		rowMin := cur[lo-1]
+		for j := lo; j <= hi; j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			v := min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost, far)
+			cur[j] = v
+			rowMin = min(rowMin, v)
+		}
+		if hi < lb {
+			cur[hi+1] = far
+		}
+		if rowMin > bound {
+			return far
+		}
+		prev, cur = cur, prev
+	}
+	return prev[lb]
+}
+
 func min3(a, b, c int) int {
 	if b < a {
 		a = b
@@ -164,7 +217,7 @@ func (c *Corrector) bestMatch(w string) (string, bool) {
 		if dl >= bestDist {
 			continue
 		}
-		dist := Levenshtein(w, cand)
+		dist := withinDistance(w, cand, min(bestDist, c.maxDistance))
 		if dist > c.maxDistance {
 			continue
 		}

@@ -1,9 +1,12 @@
 package spell
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/dslab-epfl/warr/internal/humanerr"
 )
 
 func TestLevenshteinBasics(t *testing.T) {
@@ -203,5 +206,123 @@ func TestCorrectorUncorrectableWordSurvives(t *testing.T) {
 	got, changed := c.Correct("zzzzzzzzzz")
 	if changed || !strings.Contains(got, "zzzzzzzzzz") {
 		t.Errorf("uncorrectable word mangled: %q", got)
+	}
+}
+
+// FuzzEditDistance checks the bounded kernel against the reference
+// Levenshtein: equal to it whenever it is at most the bound, and above
+// the bound otherwise.
+func FuzzEditDistance(f *testing.F) {
+	f.Add("kitten", "sitting", 3)
+	f.Add("privacy", "pricavy", 1)
+	f.Add("facebook privacy settings", "facebook pricavy settings", 2)
+	f.Add("", "abc", 0)
+	f.Add("abc", "", 5)
+	f.Add(strings.Repeat("ab", 40), strings.Repeat("ba", 40), 4) // heap rows
+	f.Fuzz(func(t *testing.T, a, b string, bound int) {
+		if len(a) > 200 || len(b) > 200 {
+			t.Skip("the reference distance is quadratic")
+		}
+		bound %= 16
+		want := Levenshtein(a, b)
+		got := withinDistance(a, b, bound)
+		if want <= bound && got != want {
+			t.Fatalf("withinDistance(%q, %q, %d) = %d, want %d", a, b, bound, got, want)
+		}
+		if want > bound && got <= bound {
+			t.Fatalf("withinDistance(%q, %q, %d) = %d, want > %d (Levenshtein %d)", a, b, bound, got, bound, want)
+		}
+	})
+}
+
+func TestWithinDistanceShortWordsDoNotAllocate(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		withinDistance("facebook pricavy settings", "facebook privacy settings", 4)
+	})
+	if allocs != 0 {
+		t.Errorf("withinDistance allocated %v times per call, want 0", allocs)
+	}
+}
+
+// refBestMatch and refQueryCorrect are the correctors as first written,
+// with the full Levenshtein against every candidate; the bounded kernel
+// must pick exactly what they pick.
+func refBestMatch(d *Dictionary, maxDistance int, w string) (string, bool) {
+	best, bestDist, bestFreq := "", maxDistance+1, -1
+	for _, cand := range d.words {
+		dist := Levenshtein(w, cand)
+		if dist > maxDistance {
+			continue
+		}
+		if f := d.freq[cand]; dist < bestDist || (dist == bestDist && f > bestFreq) {
+			best, bestDist, bestFreq = cand, dist, f
+		}
+	}
+	return best, best != ""
+}
+
+func refCorrect(d *Dictionary, maxDistance int, query string) (string, bool) {
+	words := Words(query)
+	changed := false
+	for i, w := range words {
+		if d.Contains(w) {
+			continue
+		}
+		if best, ok := refBestMatch(d, maxDistance, w); ok {
+			words[i], changed = best, true
+		}
+	}
+	return strings.Join(words, " "), changed
+}
+
+func refQueryCorrect(corpus []string, maxDistance int, query string) (string, bool) {
+	q := normalizeQuery(query)
+	best, bestDist := "", maxDistance+1
+	for _, cand := range corpus {
+		nc := normalizeQuery(cand)
+		if nc == q {
+			return query, false
+		}
+		if dist := Levenshtein(q, nc); dist < bestDist {
+			best, bestDist = nc, dist
+		}
+	}
+	if best != "" {
+		return best, true
+	}
+	return query, false
+}
+
+func TestCorrectorsMatchReferenceOnTable1Queries(t *testing.T) {
+	full := NewDictionary(humanerr.Queries186)
+	pruned := full.WithoutTail(15)
+	queryDists := []int{1, 4, 8}
+	var qcs []*QueryCorrector
+	for _, maxDist := range queryDists {
+		qcs = append(qcs, NewQueryCorrector("q", humanerr.Queries186, maxDist, nil))
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, q := range humanerr.Queries186 {
+			typoed := humanerr.InjectTypoQuery(rng, q).Typoed
+			for _, query := range []string{q, typoed} {
+				for maxDist := 0; maxDist <= 3; maxDist++ {
+					for _, d := range []*Dictionary{full, pruned} {
+						got, gotOK := NewCorrector("c", d, maxDist).Correct(query)
+						want, wantOK := refCorrect(d, maxDist, query)
+						if got != want || gotOK != wantOK {
+							t.Fatalf("Corrector(%d).Correct(%q) = %q %v, reference %q %v", maxDist, query, got, gotOK, want, wantOK)
+						}
+					}
+				}
+				for i, maxDist := range queryDists {
+					got, gotOK := qcs[i].Correct(query)
+					want, wantOK := refQueryCorrect(humanerr.Queries186, maxDist, query)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("QueryCorrector(%d).Correct(%q) = %q %v, reference %q %v", maxDist, query, got, gotOK, want, wantOK)
+					}
+				}
+			}
+		}
 	}
 }

@@ -99,30 +99,39 @@ func (g *Grammar) RuleNames() []string {
 const maxExpansionDepth = 64
 
 // Expand regenerates a user-interaction trace by recursively applying
-// the grammar's rules from the start rule.
+// the grammar's rules from the start rule. It walks the grammar twice,
+// counting and then filling, so the commands are allocated once: a
+// cyclic substitution expands to hundreds of commands.
 func (g *Grammar) Expand() command.Trace {
 	out := command.Trace{StartURL: g.Trace.StartURL}
-	var rec func(sym Symbol, depth int)
-	rec = func(sym Symbol, depth int) {
-		if depth > maxExpansionDepth {
-			return
-		}
-		if sym.IsTerminal() {
-			if sym.Cmd >= 0 && sym.Cmd < len(g.Trace.Commands) {
-				out.Commands = append(out.Commands, g.Trace.Commands[sym.Cmd])
-			}
-			return
-		}
-		r, ok := g.Rules[sym.Rule]
-		if !ok {
-			return
-		}
-		for _, s := range r.RHS {
-			rec(s, depth+1)
-		}
+	n := 0
+	g.expand(Symbol{Rule: g.Start}, 0, func(int) { n++ })
+	if n > 0 {
+		out.Commands = make([]command.Command, 0, n)
+		g.expand(Symbol{Rule: g.Start}, 0, func(i int) { out.Commands = append(out.Commands, g.Trace.Commands[i]) })
 	}
-	rec(Symbol{Rule: g.Start}, 0)
 	return out
+}
+
+// expand calls emit with the base-trace index of every terminal sym
+// expands to, in order.
+func (g *Grammar) expand(sym Symbol, depth int, emit func(int)) {
+	if depth > maxExpansionDepth {
+		return
+	}
+	if sym.IsTerminal() {
+		if sym.Cmd >= 0 && sym.Cmd < len(g.Trace.Commands) {
+			emit(sym.Cmd)
+		}
+		return
+	}
+	r, ok := g.Rules[sym.Rule]
+	if !ok {
+		return
+	}
+	for _, s := range r.RHS {
+		g.expand(s, depth+1, emit)
+	}
 }
 
 // String renders the grammar, one rule per line.

@@ -2,6 +2,7 @@ package weberr
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -101,6 +102,56 @@ func TestGrammarExpansionReproducesTrace(t *testing.T) {
 		if got.Commands[i] != tr.Commands[i] {
 			t.Fatalf("command %d differs:\n got %s\nwant %s", i, got.Commands[i], tr.Commands[i])
 		}
+	}
+}
+
+// refExpand is Expand as first written, appending from nil.
+func refExpand(g *Grammar) command.Trace {
+	out := command.Trace{StartURL: g.Trace.StartURL}
+	var rec func(sym Symbol, depth int)
+	rec = func(sym Symbol, depth int) {
+		if depth > maxExpansionDepth {
+			return
+		}
+		if sym.IsTerminal() {
+			if sym.Cmd >= 0 && sym.Cmd < len(g.Trace.Commands) {
+				out.Commands = append(out.Commands, g.Trace.Commands[sym.Cmd])
+			}
+			return
+		}
+		if r, ok := g.Rules[sym.Rule]; ok {
+			for _, s := range r.RHS {
+				rec(s, depth+1)
+			}
+		}
+	}
+	rec(Symbol{Rule: g.Start}, 0)
+	return out
+}
+
+// TestExpandSizesExactly: every mutant expands to the reference trace
+// in one allocation of exactly its length, cyclic substitutions (which
+// recurse to maxExpansionDepth) included.
+func TestExpandSizesExactly(t *testing.T) {
+	g := FromTaskTree(inferTree(t, recordEditSite(t)))
+	longest := Mutant{Grammar: g}
+	for _, m := range Mutants(g, InjectOptions{}) {
+		got, want := m.Grammar.Expand(), refExpand(m.Grammar)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mutant %s expands to %d commands, reference %d", m.Injection, len(got.Commands), len(want.Commands))
+		}
+		if cap(got.Commands) != len(got.Commands) {
+			t.Errorf("mutant %s: cap %d for %d commands", m.Injection, cap(got.Commands), len(got.Commands))
+		}
+		if len(got.Commands) > len(longest.Grammar.Expand().Commands) {
+			longest = m
+		}
+	}
+	if n := len(longest.Grammar.Expand().Commands); n <= 3*len(g.Trace.Commands) {
+		t.Fatalf("longest mutant has %d commands; want a cyclic substitution", n)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { longest.Grammar.Expand() }); allocs != 1 {
+		t.Errorf("Expand of %s allocated %v times, want 1", longest.Injection, allocs)
 	}
 }
 
